@@ -111,25 +111,12 @@ func benchWindow(b *testing.B) (*itemset.Database, *mining.Result) {
 	return db, res
 }
 
-// BenchmarkEclatSerial measures single-threaded Eclat over one window — the
-// "before" of the sharded parallel miner.
+// BenchmarkEclatSerial measures Eclat over one window.
 func BenchmarkEclatSerial(b *testing.B) {
 	db, _ := benchWindow(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mining.Eclat(db, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEclatParallel8 measures Eclat with the prefix-class recursion
-// sharded across 8 workers.
-func BenchmarkEclatParallel8(b *testing.B) {
-	db, _ := benchWindow(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mining.EclatParallel(db, 25, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,12 +143,12 @@ func benchPublish(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkPublishSequential measures the historical one-stream perturbation
-// path — the "before" of the chunked parallel publisher.
-func BenchmarkPublishSequential(b *testing.B) { benchPublish(b, 1) }
+// BenchmarkPublishInline measures the chunked perturbation drawn inline on
+// the publishing goroutine (workers=1).
+func BenchmarkPublishInline(b *testing.B) { benchPublish(b, 1) }
 
-// BenchmarkPublishChunked8 measures the chunked-RNG perturbation path with
-// an 8-worker pool.
+// BenchmarkPublishChunked8 measures the same chunks fanned out to an
+// 8-worker pool.
 func BenchmarkPublishChunked8(b *testing.B) { benchPublish(b, 8) }
 
 // benchEndToEnd streams 3000 synthetic records through the full publication

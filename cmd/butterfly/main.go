@@ -202,7 +202,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		seed           = fs.Uint64("seed", 1, "random seed")
 		dumpDir        = fs.String("dump-dir", "", "also write each published window to DIR/window-N.txt (audit format)")
 		raw            = fs.Bool("raw", false, "UNPROTECTED: publish true supports (for audits and comparisons)")
-		workers        = fs.Int("workers", runtime.NumCPU(), "pipeline parallelism (1: serial reference path)")
+		workers        = fs.Int("workers", runtime.NumCPU(), "goroutines drawing the perturbation (output is the same at every count)")
 		maxBadRecords  = fs.Int("max-bad-records", 0, "malformed input records to skip before failing (0: fail fast, -1: unlimited)")
 		emitRetries    = fs.Int("emit-retries", 3, "retries for transient publish failures before the run fails")
 		windowTimeout  = fs.Duration("window-timeout", 0, "per-window watchdog: fail the run if one window takes longer (0: disabled)")

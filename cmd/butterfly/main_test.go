@@ -87,9 +87,8 @@ func TestRunRawAndDump(t *testing.T) {
 }
 
 // TestRunWorkersDeterminism pins the CLI half of the chunked-RNG contract:
-// every -workers count >= 2 must print byte-identical output for a fixed
-// seed, and -workers 1 (the serial reference path) must itself be
-// reproducible run over run.
+// every -workers count must print byte-identical output for a fixed seed,
+// run over run.
 func TestRunWorkersDeterminism(t *testing.T) {
 	runWith := func(workers string) string {
 		var out bytes.Buffer
@@ -103,17 +102,14 @@ func TestRunWorkersDeterminism(t *testing.T) {
 		}
 		return out.String()
 	}
-	ref := runWith("2")
+	ref := runWith("1")
 	if !strings.Contains(ref, "window(s) published") {
 		t.Fatalf("unexpected output:\n%s", ref)
 	}
-	for _, workers := range []string{"3", "8"} {
+	for _, workers := range []string{"1", "2", "3", "8"} {
 		if got := runWith(workers); got != ref {
-			t.Errorf("-workers %s output differs from -workers 2:\n%s\nvs\n%s", workers, got, ref)
+			t.Errorf("-workers %s output differs from -workers 1:\n%s\nvs\n%s", workers, got, ref)
 		}
-	}
-	if first, second := runWith("1"), runWith("1"); first != second {
-		t.Error("-workers 1 not reproducible across runs")
 	}
 }
 
@@ -281,6 +277,74 @@ func TestRunCheckpointResumeWalkthrough(t *testing.T) {
 	// The replayed prefix counts: the summary sees the whole stream.
 	if !strings.Contains(resumedOut, "window(s) published over 300 records") {
 		t.Fatalf("resumed summary does not span the full stream:\n%s", resumedOut)
+	}
+}
+
+// TestRunResumeOlderBuildCheckpoints resumes checkpoints written by the last
+// build that still had two draw orders, over the walkthrough's stream and
+// flags (the first 200 records, checkpointed every window):
+//
+//	datagen -profile webview -n 200 -seed 5 > part.dat
+//	butterfly -input part.dat -window 60 -support 10 -vuln 5 -epsilon 0.1 \
+//	  -delta 0.4 -scheme hybrid -publish-every 4 -seed 17 -top 0 \
+//	  -checkpoint-dir D -checkpoint-every 1 -checkpoint-full-every 1 -workers W
+//
+// The -workers 2 snapshot was drawn in the chunked order every worker count
+// now uses, so it resumes byte-identically to an uninterrupted run at any
+// worker count, 1 included. The -workers 1 snapshot was drawn in the retired
+// sequential order; resuming it would redraw published windows, so it is
+// refused with an error that names the draw order.
+func TestRunResumeOlderBuildCheckpoints(t *testing.T) {
+	records := data.WebViewLike(5).Generate(300)
+	dir := t.TempDir()
+	full := writeTransactionFile(t, dir, "full.dat", records)
+	base := []string{
+		"-input", full, "-window", "60", "-support", "10", "-vuln", "5",
+		"-epsilon", "0.1", "-delta", "0.4", "-scheme", "hybrid",
+		"-publish-every", "4", "-seed", "17", "-top", "0",
+	}
+	ref := windowBlocks(t, runArgs(t, append(base, "-workers", "1")))
+	if len(ref) != 61 {
+		t.Fatalf("reference run published %d windows, want 61", len(ref))
+	}
+	resumeFrom := func(file, workers string) (string, error) {
+		t.Helper()
+		ckdir := filepath.Join(t.TempDir(), "ckpt")
+		if err := os.MkdirAll(ckdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(ckdir, "ckpt-0000000000000200.bfck"), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = run(append(base, "-workers", workers, "-checkpoint-dir", ckdir, "-resume"), nil, &out)
+		return out.String(), err
+	}
+
+	for _, workers := range []string{"1", "2", "8"} {
+		out, err := resumeFrom("chunked-workers2.bfck", workers)
+		if err != nil {
+			t.Fatalf("-workers %s: resuming a chunked-order checkpoint: %v", workers, err)
+		}
+		resumed := windowBlocks(t, out)
+		if len(resumed) != len(ref)-36 {
+			t.Fatalf("-workers %s: resumed run published %d windows, want %d", workers, len(resumed), len(ref)-36)
+		}
+		for i := range resumed {
+			if resumed[i] != ref[36+i] {
+				t.Fatalf("-workers %s: resumed window %d differs from the uninterrupted run:\n got %s\nwant %s",
+					workers, i, resumed[i], ref[36+i])
+			}
+		}
+	}
+
+	if _, err := resumeFrom("sequential-workers1.bfck", "1"); err == nil ||
+		!strings.Contains(err.Error(), "retired sequential draw order") {
+		t.Fatalf("resuming a sequential-order checkpoint: %v, want an error naming the retired sequential draw order", err)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestRunEndToEnd(t *testing.T) {
 	go func() {
 		runErr <- run([]string{
 			"-addr", "127.0.0.1:0",
-			"-checkpoint-root", t.TempDir(),
+			"-data-dir", t.TempDir(),
 			"-drain-timeout", "30s",
 			"-log-json",
 		}, &out)

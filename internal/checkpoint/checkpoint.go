@@ -58,6 +58,7 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -81,13 +82,19 @@ var (
 	// ErrVersion marks a checkpoint written by a newer format version —
 	// undecodable by this build, but not evidence of disk corruption.
 	ErrVersion = errors.New("checkpoint: unsupported snapshot version")
+	// ErrSequentialDrawOrder marks state an older build wrote under
+	// workers=1, which perturbed in the retired sequential draw order.
+	// Resuming it in the chunked order would redraw already-published
+	// windows, so it is refused.
+	ErrSequentialDrawOrder = errors.New("checkpoint: state was written under the retired sequential draw order (workers=1 in older builds) and cannot be resumed; start the stream afresh")
 )
 
 // Meta fingerprints the pipeline configuration a snapshot was taken under.
 // Resume refuses a snapshot whose fingerprint differs from the running
 // configuration: restoring an RNG cursor or republication cache into a
 // differently-calibrated pipeline would silently break both determinism and
-// the privacy guarantee.
+// the privacy guarantee. The worker count is not part of it: every worker
+// count publishes in the same chunked draw order.
 type Meta struct {
 	WindowSize  int
 	Epsilon     float64
@@ -96,14 +103,50 @@ type Meta struct {
 	VulnSupport int
 	Seed        uint64
 	// Scheme is the bias scheme's Name(), parameters included.
-	Scheme     string
-	ClosedOnly bool
-	Raw        bool
-	// Chunked records the publisher draw-order tier (workers >= 2); the
-	// two tiers draw different random offsets, so a snapshot from one
-	// cannot resume the other.
-	Chunked      bool
+	Scheme       string
+	ClosedOnly   bool
+	Raw          bool
 	PublishEvery int
+	// SequentialDraws is set only when decoding a fingerprint an older
+	// build wrote under workers=1, in the retired sequential draw order.
+	// Nothing sets it otherwise; CheckDrawOrder refuses it.
+	SequentialDraws bool `json:"-"`
+}
+
+// CheckDrawOrder returns ErrSequentialDrawOrder if m was written in the
+// retired sequential draw order.
+func (m Meta) CheckDrawOrder() error {
+	if m.SequentialDraws {
+		return ErrSequentialDrawOrder
+	}
+	return nil
+}
+
+// metaJSON is Meta's JSON form. Chunked is the draw-order key older builds
+// wrote: false marks the retired sequential order. It is always written, so
+// the encoded form matches what older builds wrote under workers >= 2.
+type metaJSON struct {
+	metaFields
+	Chunked *bool `json:"Chunked"`
+}
+
+type metaFields Meta
+
+// MarshalJSON encodes m with the Chunked key older builds read.
+func (m Meta) MarshalJSON() ([]byte, error) {
+	chunked := !m.SequentialDraws
+	return json.Marshal(metaJSON{metaFields(m), &chunked})
+}
+
+// UnmarshalJSON decodes m, setting SequentialDraws from a false Chunked key.
+func (m *Meta) UnmarshalJSON(b []byte) error {
+	var j metaJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*m = Meta(j.metaFields)
+	m.SequentialDraws = j.Chunked != nil && !*j.Chunked
+	return nil
 }
 
 // Snapshot is one consistent cut of the pipeline at a published window
@@ -207,7 +250,9 @@ func appendMeta(b []byte, m Meta) []byte {
 	b = appendString(b, m.Scheme)
 	b = appendBool(b, m.ClosedOnly)
 	b = appendBool(b, m.Raw)
-	b = appendBool(b, m.Chunked)
+	// The draw-order byte: 1 is the chunked order, 0 the retired
+	// sequential one.
+	b = appendBool(b, !m.SequentialDraws)
 	return binary.AppendVarint(b, int64(m.PublishEvery))
 }
 
@@ -392,9 +437,11 @@ func (r *reader) meta() (Meta, error) {
 	if m.Raw, err = r.bool(); err != nil {
 		return m, err
 	}
-	if m.Chunked, err = r.bool(); err != nil {
+	chunked, err := r.bool()
+	if err != nil {
 		return m, err
 	}
+	m.SequentialDraws = !chunked
 	if m.PublishEvery, err = r.vint("publish interval"); err != nil {
 		return m, err
 	}

@@ -29,7 +29,6 @@ func testSnapshot(t testing.TB) *checkpoint.Snapshot {
 			Seed:         0xDEADBEEF,
 			Scheme:       "hybrid(0.40)",
 			ClosedOnly:   true,
-			Chunked:      true,
 			PublishEvery: 7,
 		},
 		Records:    123456,

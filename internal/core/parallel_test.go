@@ -1,14 +1,13 @@
 package core
 
-// Regression tests for the chunked-RNG parallel publication path. The
-// determinism contract under test (see Publisher.SetWorkers):
-//
-//   - workers <= 1 is the frozen historical sequential draw order;
-//   - every worker count >= 2 publishes byte-identical output for a fixed
-//     seed, because chunk boundaries and per-chunk seeds are functions of
-//     the data alone, never of the pool size.
+// Regression tests for the chunked-RNG publication path. The determinism
+// contract under test (see Publisher.SetWorkers): every worker count
+// publishes byte-identical output for a fixed seed, because chunk boundaries
+// and per-chunk seeds are functions of the data alone, never of the pool
+// size.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/data"
@@ -80,31 +79,22 @@ func sameOutputs(t *testing.T, label string, a, b []*Output) {
 }
 
 // TestChunkedPublishWorkerCountInvariance publishes the same multi-window
-// stream with pools of 2, 3, 5 and 8 workers and requires identical output
-// from all of them, for both a shared-draw scheme and the per-itemset Basic
-// scheme.
+// stream inline (the default and workers=1) and with pools of 2, 3, 5 and 8
+// workers, and requires identical output from all of them, for both a
+// shared-draw scheme and the per-itemset Basic scheme.
 func TestChunkedPublishWorkerCountInvariance(t *testing.T) {
 	results := minedWindows(t)
 	for _, scheme := range []Scheme{Basic{}, Hybrid{Lambda: 0.4}} {
-		ref := publishAll(t, 2, scheme, results)
-		for _, workers := range []int{3, 5, 8} {
+		ref := publishAll(t, 1, scheme, results)
+		for _, workers := range []int{0, 2, 3, 5, 8} {
 			got := publishAll(t, workers, scheme, results)
-			sameOutputs(t, scheme.Name(), ref, got)
+			sameOutputs(t, fmt.Sprintf("%s workers=%d", scheme.Name(), workers), ref, got)
 		}
 	}
 }
 
-// TestSequentialPathUnchangedBySetWorkers pins that SetWorkers(1) and the
-// default (never calling SetWorkers) are the same frozen draw order.
-func TestSequentialPathUnchangedBySetWorkers(t *testing.T) {
-	results := minedWindows(t)
-	sameOutputs(t, "workers=1 vs default",
-		publishAll(t, 0, Basic{}, results),
-		publishAll(t, 1, Basic{}, results))
-}
-
 // TestChunkedPublishStaysInPerturbationRegion checks the (ε, δ) calibration
-// is honoured by the parallel path: under the Basic scheme (bias 0) every
+// is honoured by the chunked path: under the Basic scheme (bias 0) every
 // sanitized support stays within α/2 of the true support.
 func TestChunkedPublishStaysInPerturbationRegion(t *testing.T) {
 	results := minedWindows(t)
@@ -125,7 +115,7 @@ func TestChunkedPublishStaysInPerturbationRegion(t *testing.T) {
 }
 
 // TestChunkedPublishRepublishesConsistently pins that the republication
-// cache works identically under the parallel path: republishing a window
+// cache works under a worker pool: republishing a window
 // whose supports did not change returns the same sanitized values.
 func TestChunkedPublishRepublishesConsistently(t *testing.T) {
 	results := minedWindows(t)
@@ -153,8 +143,7 @@ func TestChunkedPublishRepublishesConsistently(t *testing.T) {
 // same sanitized value when perturbed by the chunked path (the chunk split
 // is by class, so a class never straddles two RNG streams). The
 // republication cache is disabled because a cache hit from an earlier
-// window legitimately differs from the current window's class draw — in the
-// sequential path just the same.
+// window legitimately differs from the current window's class draw.
 func TestChunkedSharedDrawsKeepClassesEqual(t *testing.T) {
 	results := minedWindows(t)
 	p := Params{Epsilon: 0.1, Delta: 0.4, MinSupport: 12, VulnSupport: 5}

@@ -104,9 +104,8 @@ type Publisher struct {
 	classScratch  []fec.Class       // FEC partition of the current window
 	memberScratch []itemset.Itemset // flat backing array for classScratch members
 	ladderScratch []ladderRung      // current window's ladder, compared to lastLadder
-	drawScratch   []int             // batched shared-draw offsets, one per class
 	keyBuf        []byte            // AppendKey scratch for cache lookups
-	perChunk      [][]chunkItem     // parallel path: per-chunk item buffers
+	job           perturbJob        // the current window's perturbation chunks
 
 	// Incremental bias reuse (the paper's §VII "incremental version"
 	// future work): when consecutive windows produce the same FEC ladder —
@@ -126,13 +125,12 @@ type Publisher struct {
 	dirtyCache  []*cacheEntry
 	evictedKeys []string
 
-	// workers selects the perturbation path: <= 1 runs the historical
-	// sequential draw order, >= 2 the chunked parallel order (see SetWorkers).
+	// workers is how many goroutines draw perturbation chunks (SetWorkers).
 	workers int
 
-	// chunkHook, when non-nil, runs at the start of every parallel
-	// perturbation chunk. Test-only: fault-injection tests use it to drive
-	// the worker panic-recovery path.
+	// chunkHook, when non-nil, runs at the start of every perturbation
+	// chunk. Test-only: fault-injection tests use it to drive the
+	// panic-recovery path.
 	chunkHook func(chunk int)
 
 	optDur     time.Duration
@@ -149,10 +147,10 @@ type Publisher struct {
 	rollNext int
 }
 
-// publishChunkClasses is the number of FECs per perturbation chunk in the
-// parallel publish path. It is a fixed constant — NOT derived from the worker
-// count — so that chunk boundaries, and therefore every chunk's RNG stream,
-// are identical no matter how many workers execute them.
+// publishChunkClasses is the number of FECs per perturbation chunk. It is a
+// fixed constant — NOT derived from the worker count — so that chunk
+// boundaries, and therefore every chunk's RNG stream, are identical no
+// matter how many workers execute them.
 const publishChunkClasses = 4
 
 type ladderRung struct {
@@ -234,20 +232,15 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	pub.window++
 	out := &Output{
 		WindowSize: windowSize,
-		Items:      make([]PublishedItemset, 0, fec.TotalMembers(classes)),
+		Items:      make([]PublishedItemset, fec.TotalMembers(classes)),
 	}
-	var hits, misses int
-	if pub.workers > 1 {
-		savedSrc := *pub.src
-		hits, misses, err = pub.perturbChunked(out, classes, biases, half)
-		if err != nil {
-			// Roll back so a retry redraws the identical perturbation.
-			*pub.src = savedSrc
-			pub.window--
-			return nil, err
-		}
-	} else {
-		hits, misses = pub.perturbSequential(out, classes, biases, half)
+	savedSrc := *pub.src
+	hits, misses, err := pub.perturb(out.Items, classes, biases, half)
+	if err != nil {
+		// Roll back so a retry redraws the identical perturbation.
+		*pub.src = savedSrc
+		pub.window--
+		return nil, err
 	}
 	slices.SortFunc(out.Items, func(a, b PublishedItemset) int {
 		if a.Support != b.Support {
@@ -271,250 +264,188 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	return out, nil
 }
 
-// perturbSequential is the historical perturbation loop: one RNG stream,
-// consumed class by class in support order. Its draw order — and therefore
-// its output for a fixed seed — is frozen; the byte-compatibility of
-// workers=1 publication with pre-parallel releases depends on it. The
-// returned hit/miss tally feeds the cache-traffic telemetry.
-//
-// Shared-draw schemes consume exactly one draw per class, in class order, so
-// those draws are batched through rng.FillIntRange — same values, same
-// cursor, one call. The basic scheme's per-itemset draws interleave with the
-// per-class ones and stay inline.
-func (pub *Publisher) perturbSequential(out *Output, classes []fec.Class, biases []int, half int) (hits, misses int) {
-	sharedDraws := pub.scheme.SharedDraws()
-	var draws []int
-	if sharedDraws {
-		if cap(pub.drawScratch) < len(classes) {
-			pub.drawScratch = make([]int, len(classes))
-		}
-		draws = pub.drawScratch[:len(classes)]
-		pub.src.FillIntRange(-half, half, draws)
-	}
-	keyBuf := pub.keyBuf
-	for ci, class := range classes {
-		// One shared draw per FEC keeps intra-class equality (optimized
-		// schemes); the basic scheme redraws per itemset.
-		var sharedOffset int
-		if sharedDraws {
-			sharedOffset = biases[ci] + draws[ci]
-		} else {
-			sharedOffset = biases[ci] + pub.src.IntRange(-half, half)
-		}
-		for _, member := range class.Members {
-			keyBuf = member.AppendKey(keyBuf[:0])
-			e := pub.cache[string(keyBuf)] // alloc-free lookup
-			var sanitized int
-			if e != nil && !pub.cacheDisabled && e.trueSupport == class.Support {
-				sanitized = e.sanitized
-				hits++
-			} else if sharedDraws {
-				sanitized = class.Support + sharedOffset
-				misses++
-			} else {
-				sanitized = class.Support + biases[ci] + pub.src.IntRange(-half, half)
-				misses++
-			}
-			if e != nil {
-				e.trueSupport = class.Support
-				e.sanitized = sanitized
-				e.lastSeen = pub.window
-				pub.markDirty(e)
-			} else {
-				k := string(keyBuf)
-				e = &cacheEntry{
-					key:         k,
-					trueSupport: class.Support,
-					sanitized:   sanitized,
-					lastSeen:    pub.window,
-				}
-				pub.cache[k] = e
-				pub.markDirty(e)
-			}
-			out.Items = append(out.Items, PublishedItemset{Set: member, Support: sanitized})
-		}
-	}
-	pub.keyBuf = keyBuf
-	return hits, misses
-}
-
-// chunkItem is one perturbed itemset produced by a parallel chunk, carrying
-// the cache update to apply after the fan-in. It deliberately carries no key
-// string: workers probe the cache through a reusable byte buffer, and the
-// single-goroutine fan-in recomputes keys the same way, so a window's worth
-// of key strings is never materialized.
-type chunkItem struct {
-	set         itemset.Itemset
-	trueSupport int
-	sanitized   int
-}
-
-// perturbChunked is the parallel perturbation path. The FEC ladder is cut
-// into fixed-size chunks of publishChunkClasses classes; chunk c draws from
+// perturb draws the window's sanitized supports into items, which holds one
+// slot per FEC member laid out class by class in ladder order. The ladder is
+// cut into fixed chunks of publishChunkClasses classes; chunk c draws from
 // its own rng.Source seeded with Mix(windowSeed, c), where windowSeed is one
 // draw from the publisher's stream. Chunk boundaries and seeds depend only on
-// the data and the publisher's seed, never on the worker count, so any pool
-// size >= 2 publishes identical output. The republication cache is read-only
-// during the fan-out (the publisher goroutine is the only writer, and it
-// writes only after wg.Wait), which keeps the path race-free.
-// It returns an error — without writing any cache entry — if a worker
-// panicked, so Publish can roll the publisher state back and stay
-// retry-safe. The hit/miss tally is taken during the single-goroutine
-// fan-in, where the cache still holds its pre-window content, so it equals
-// the decisions the workers made against that same read-only view.
-func (pub *Publisher) perturbChunked(out *Output, classes []fec.Class, biases []int, half int) (hits, misses int, err error) {
-	windowSeed := pub.src.Uint64()
+// the data and the seed, so the output is the same at every worker count:
+// with one worker the chunks run inline on the calling goroutine, with more
+// they fan out.
+//
+// Chunks only read the republication cache; it is written afterwards, in one
+// pass on the calling goroutine, through the entries the chunks found. So a
+// panicking chunk leaves the cache untouched, and Publish can roll back and
+// stay retry-safe. The hit/miss tally feeds the cache-traffic telemetry.
+func (pub *Publisher) perturb(items []PublishedItemset, classes []fec.Class, biases []int, half int) (hits, misses int, err error) {
+	job := &pub.job
+	job.seed = pub.src.Uint64()
 	nChunks := (len(classes) + publishChunkClasses - 1) / publishChunkClasses
 	if nChunks == 0 {
 		return 0, 0, nil
 	}
-	workers := pub.workers
-	if workers > nChunks {
-		workers = nChunks
+	job.classes, job.biases, job.half, job.items = classes, biases, half, items
+	job.sharedDraws = pub.scheme.SharedDraws()
+	job.starts = job.starts[:0]
+	start := 0
+	for ci, class := range classes {
+		if ci%publishChunkClasses == 0 {
+			job.starts = append(job.starts, start)
+		}
+		start += len(class.Members)
 	}
-	sharedDraws := pub.scheme.SharedDraws()
-
-	// Per-chunk buffers are publisher scratch: the slice-of-slices and each
-	// chunk's backing array are reused window after window. Distinct workers
-	// write distinct elements, so no synchronization beyond wg is needed.
-	if cap(pub.perChunk) < nChunks {
-		fresh := make([][]chunkItem, nChunks)
-		copy(fresh, pub.perChunk)
-		pub.perChunk = fresh
+	if cap(job.entries) < len(items) {
+		job.entries = make([]*cacheEntry, len(items))
 	}
-	perChunk := pub.perChunk[:nChunks]
+	job.entries = job.entries[:len(items)]
+	job.next.Store(0)
+	defer func() { job.classes, job.biases, job.items = nil, nil, nil }()
 
-	// Chunks are claimed off a shared counter: if a worker dies to a
-	// recovered panic, the survivors drain the remainder.
-	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					panicOnce.Do(func() {
-						panicErr = fmt.Errorf("core: perturbation worker panicked: %v", v)
-					})
+	if workers := min(pub.workers, nChunks); workers <= 1 {
+		pub.keyBuf, err = pub.drawChunks(pub.keyBuf)
+	} else {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, werr := pub.drawChunks(nil); werr != nil {
+					mu.Lock()
+					if err == nil {
+						err = werr
+					}
+					mu.Unlock()
 				}
 			}()
-			var keyBuf []byte
-			var chunkDraws [publishChunkClasses]int
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				if pub.chunkHook != nil {
-					pub.chunkHook(c)
-				}
-				src := rng.New(rng.Mix(windowSeed, uint64(c)))
-				start := c * publishChunkClasses
-				end := start + publishChunkClasses
-				if end > len(classes) {
-					end = len(classes)
-				}
-				// Shared-draw schemes consume one draw per class from the
-				// chunk's source, in order — batch them (see
-				// perturbSequential); the basic scheme stays inline.
-				var draws []int
-				if sharedDraws {
-					draws = chunkDraws[:end-start]
-					src.FillIntRange(-half, half, draws)
-				}
-				local := perChunk[c][:0]
-				for ci := start; ci < end; ci++ {
-					class := classes[ci]
-					var sharedOffset int
-					if sharedDraws {
-						sharedOffset = biases[ci] + draws[ci-start]
-					} else {
-						sharedOffset = biases[ci] + src.IntRange(-half, half)
-					}
-					for _, member := range class.Members {
-						keyBuf = member.AppendKey(keyBuf[:0])
-						// Read-only probe: the publisher goroutine writes the
-						// cache only after wg.Wait.
-						e := pub.cache[string(keyBuf)]
-						var sanitized int
-						if e != nil && !pub.cacheDisabled && e.trueSupport == class.Support {
-							sanitized = e.sanitized
-						} else if sharedDraws {
-							sanitized = class.Support + sharedOffset
-						} else {
-							sanitized = class.Support + biases[ci] + src.IntRange(-half, half)
-						}
-						local = append(local, chunkItem{
-							set:         member,
-							trueSupport: class.Support,
-							sanitized:   sanitized,
-						})
-					}
-				}
-				perChunk[c] = local
-			}
-		}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	if panicErr != nil {
-		return 0, 0, panicErr
+	if err != nil {
+		clear(job.entries)
+		return 0, 0, err
 	}
 
 	keyBuf := pub.keyBuf
-	for _, local := range perChunk {
-		for _, it := range local {
-			keyBuf = it.set.AppendKey(keyBuf[:0])
-			e := pub.cache[string(keyBuf)]
-			if e != nil && !pub.cacheDisabled && e.trueSupport == it.trueSupport {
+	i := 0
+	for _, class := range classes {
+		for range class.Members {
+			e, it := job.entries[i], &items[i]
+			job.entries[i] = nil
+			i++
+			if pub.republishes(e, class.Support) {
 				hits++
 			} else {
 				misses++
 			}
-			if e != nil {
-				e.trueSupport = it.trueSupport
-				e.sanitized = it.sanitized
-				e.lastSeen = pub.window
-				pub.markDirty(e)
-			} else {
-				k := string(keyBuf)
-				e = &cacheEntry{
-					key:         k,
-					trueSupport: it.trueSupport,
-					sanitized:   it.sanitized,
-					lastSeen:    pub.window,
-				}
-				pub.cache[k] = e
-				pub.markDirty(e)
+			if e == nil {
+				keyBuf = it.Set.AppendKey(keyBuf[:0])
+				e = &cacheEntry{key: string(keyBuf)}
+				pub.cache[e.key] = e
 			}
-			out.Items = append(out.Items, PublishedItemset{Set: it.set, Support: it.sanitized})
+			e.trueSupport = class.Support
+			e.sanitized = it.Support
+			e.lastSeen = pub.window
+			pub.markDirty(e)
 		}
 	}
 	pub.keyBuf = keyBuf
 	return hits, misses, nil
 }
 
-// SetWorkers selects the perturbation path of subsequent Publish calls.
-//
-// The determinism contract is two-tiered:
-//
-//   - workers <= 1 (the default) runs the historical sequential draw order;
-//     output is byte-identical to pre-parallel releases for a fixed seed.
-//   - workers >= 2 runs the chunked-RNG parallel order; output is identical
-//     for EVERY worker count >= 2 with a fixed seed, because chunk boundaries
-//     and per-chunk seeds are functions of the data alone.
-//
-// The two tiers draw different random offsets (one stream vs. one stream per
-// chunk), so workers=1 and workers=2 outputs differ — both are deterministic,
-// equally calibrated, and equally private.
-func (pub *Publisher) SetWorkers(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	pub.workers = workers
+// perturbJob is one window's perturbation work, shared by every goroutine
+// that draws its chunks. It lives in the publisher so its buffers are reused
+// window after window.
+type perturbJob struct {
+	classes     []fec.Class
+	biases      []int
+	half        int
+	sharedDraws bool
+	seed        uint64             // windowSeed, one draw from the publisher's stream
+	starts      []int              // starts[c]: index in items of chunk c's first member
+	items       []PublishedItemset // the window's output, class by class
+	// entries[i] is the cache entry items[i] found before this window, or
+	// nil. Each chunk writes only its own slots.
+	entries []*cacheEntry
+	next    atomic.Int64 // next unclaimed chunk
 }
+
+// drawChunks claims chunks off the shared counter and draws them until none
+// are left, so if one goroutine dies to a panic the others drain the rest.
+// The panic comes back as an error. keyBuf is the caller's key scratch; the
+// grown buffer is returned for reuse.
+func (pub *Publisher) drawChunks(keyBuf []byte) (_ []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("core: perturbation worker panicked: %v", v)
+		}
+	}()
+	job := &pub.job
+	for {
+		c := int(job.next.Add(1)) - 1
+		if c >= len(job.starts) {
+			return keyBuf, nil
+		}
+		keyBuf = pub.drawChunk(c, keyBuf)
+	}
+}
+
+// drawChunk draws chunk c. Shared-draw schemes take one draw per class from
+// the chunk's source, batched through FillIntRange; the basic scheme takes a
+// per-class draw (unused, but part of the draw order) and then one draw per
+// itemset that misses the cache.
+func (pub *Publisher) drawChunk(c int, keyBuf []byte) []byte {
+	if pub.chunkHook != nil {
+		pub.chunkHook(c)
+	}
+	job := &pub.job
+	var src rng.Source
+	src.SetState(rng.Mix(job.seed, uint64(c)))
+	start := c * publishChunkClasses
+	end := min(start+publishChunkClasses, len(job.classes))
+	var draws [publishChunkClasses]int
+	if job.sharedDraws {
+		src.FillIntRange(-job.half, job.half, draws[:end-start])
+	}
+	i := job.starts[c]
+	for ci := start; ci < end; ci++ {
+		class := job.classes[ci]
+		bias := job.biases[ci]
+		if !job.sharedDraws {
+			src.IntRange(-job.half, job.half)
+		}
+		for _, member := range class.Members {
+			keyBuf = member.AppendKey(keyBuf[:0])
+			e := pub.cache[string(keyBuf)] // read-only, alloc-free lookup
+			sanitized := class.Support + bias
+			switch {
+			case pub.republishes(e, class.Support):
+				sanitized = e.sanitized
+			case job.sharedDraws:
+				sanitized += draws[ci-start]
+			default:
+				sanitized += src.IntRange(-job.half, job.half)
+			}
+			job.items[i] = PublishedItemset{Set: member, Support: sanitized}
+			job.entries[i] = e
+			i++
+		}
+	}
+	return keyBuf
+}
+
+// republishes reports whether cache entry e re-serves its sanitized value
+// for an itemset whose true support is now trueSupport (§V-C, Prior
+// Knowledge 2).
+func (pub *Publisher) republishes(e *cacheEntry, trueSupport int) bool {
+	return e != nil && !pub.cacheDisabled && e.trueSupport == trueSupport
+}
+
+// SetWorkers sets how many goroutines draw a window's perturbation chunks
+// (<= 1, the default: inline on the calling goroutine). Published output
+// does not depend on it: chunk boundaries and per-chunk seeds are functions
+// of the data and the seed alone.
+func (pub *Publisher) SetWorkers(workers int) { pub.workers = workers }
 
 // SetTrace directs the next Publish call's bias-optimization and
 // republication-cache child spans into w, the current window of the
@@ -523,14 +454,6 @@ func (pub *Publisher) SetWorkers(workers int) {
 // this once per window, before Publish, so the spans nest under the right
 // window track.
 func (pub *Publisher) SetTrace(w *trace.Window) { pub.tr = w }
-
-// Workers reports the configured perturbation parallelism (see SetWorkers).
-func (pub *Publisher) Workers() int {
-	if pub.workers < 1 {
-		return 1
-	}
-	return pub.workers
-}
 
 // biasesFor computes (or reuses) the per-class biases. The bias of a class
 // depends only on its support and size plus its neighbours' (all schemes are

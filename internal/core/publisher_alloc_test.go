@@ -10,8 +10,8 @@ package core
 // fails loudly with a number attached.
 //
 // The bounds are per-WINDOW and deliberately leave headroom over the
-// measured steady state (single digits at workers=1; a few dozen at
-// workers=8, which pays per-goroutine setup): they are tripwires for
+// measured steady state (single digits at workers=1, where the chunks run
+// inline; a few dozen at workers=8, which pays per-goroutine setup): they are tripwires for
 // per-itemset regressions — the mined windows here hold ~140 itemsets, so
 // even a single alloc-per-itemset defect blows through them.
 
@@ -23,11 +23,12 @@ import (
 	"repro/internal/mining"
 )
 
-// pinBounds: measured steady state is ~5 allocs/window at workers=1 and
-// ~35 at workers=8 (8 goroutines + their key buffers + scheduling).
+// pinBounds: measured steady state is a handful of allocs/window at
+// workers=1 and ~35 at workers=8 (8 goroutines + their key buffers +
+// scheduling).
 const (
-	allocBoundSequential = 16
-	allocBoundChunked    = 96
+	allocBoundInline = 16
+	allocBoundFanOut = 96
 )
 
 // denseResult builds a window with nClasses FECs of perClass itemsets each —
@@ -67,9 +68,9 @@ func pinPublishAllocs(t *testing.T, workers int, cacheHits bool) {
 			t.Fatal(err)
 		}
 	}
-	bound := float64(allocBoundSequential)
+	bound := float64(allocBoundInline)
 	if workers > 1 {
-		bound = allocBoundChunked
+		bound = allocBoundFanOut
 	}
 	allocs := testing.AllocsPerRun(32, func() {
 		if _, err := pub.Publish(steady, 150); err != nil {

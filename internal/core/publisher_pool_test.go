@@ -89,7 +89,7 @@ func newTestPublisher(t *testing.T, scheme Scheme) *Publisher {
 }
 
 // TestPooledPublishRunIdentity runs the same seeded snapshot sequence
-// through two independent publishers at every worker tier and requires
+// through two independent publishers at several worker counts and requires
 // byte-identical output — the scratch arenas must be invisible to the
 // published bytes.
 func TestPooledPublishRunIdentity(t *testing.T) {

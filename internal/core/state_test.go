@@ -38,7 +38,7 @@ func renderOutput(o *core.Output) string {
 // publisher mid-stream, rebuild a FRESH stream from the same configuration,
 // restore the snapshot and the window buffer into it, and the remaining
 // publications must be byte-identical — same sanitized supports, same
-// republication-cache hits — at both draw-order tiers.
+// republication-cache hits — with chunks drawn inline and fanned out.
 func TestPublisherSnapshotRestoreContinuesByteIdentical(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

@@ -3,8 +3,8 @@ package faultinject_test
 // Recovery suite: drives the supervised pipeline through injected faults —
 // transient source and sink failures, a mid-run sink panic, malformed input
 // lines within the bad-record budget — and proves the run still publishes
-// output byte-identical to a fault-free reference run, at every worker
-// tier. Run it with -race; the CI workflow does.
+// output byte-identical to a fault-free reference run, at several worker
+// counts. Run it with -race; the CI workflow does.
 
 import (
 	"bytes"
@@ -82,7 +82,7 @@ func renderWindows(t *testing.T, windows []pipeline.Window) []byte {
 // centerpiece: transient failures on every 7th source read and every 5th
 // sink delivery, one injected sink panic, and malformed lines exactly
 // filling the bad-record budget — and the published bytes must not move,
-// at workers 1 (sequential draw order), 2 and 8 (chunked draw order).
+// at workers 1, 2 and 8.
 func TestFaultInjectedRunIsByteIdenticalToFaultFree(t *testing.T) {
 	text := fixtureText(t)
 	dirty, injected := corruptText(text, 100)

@@ -16,9 +16,7 @@ type eclatVertical struct {
 }
 
 // eclatRoots builds the vertical bitmaps of db's frequent single items,
-// sorted by item id. The returned roots are read-only from here on: both the
-// serial recursion and the parallel workers only AND them into fresh bitmaps,
-// which is what makes sharing them across goroutines safe.
+// sorted by item id. The recursion only ANDs them into fresh bitmaps.
 func eclatRoots(db *itemset.Database, minSupport int) []eclatVertical {
 	n := db.Len()
 	tidmaps := map[itemset.Item]*bitset.Bitset{}

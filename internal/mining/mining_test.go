@@ -306,196 +306,3 @@ func BenchmarkEclatWindow2000(b *testing.B) {
 		}
 	}
 }
-
-func TestFPGrowthMatchesApriori(t *testing.T) {
-	src := rng.New(505)
-	for trial := 0; trial < 30; trial++ {
-		db := randomDB(src, 50, 10, 6)
-		minSup := 1 + src.Intn(8)
-		want, err := Apriori(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FPGrowth(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, got, want, "fpgrowth")
-	}
-}
-
-func TestFPGrowthMatchesEclatProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		s := rng.New(uint64(seed))
-		db := randomDB(s, 30, 7, 5)
-		minSup := 1 + s.Intn(5)
-		a, err1 := Eclat(db, minSup)
-		g, err2 := FPGrowth(db, minSup)
-		if err1 != nil || err2 != nil || a.Len() != g.Len() {
-			return false
-		}
-		for _, fi := range a.Itemsets {
-			sup, ok := g.Support(fi.Set)
-			if !ok || sup != fi.Support {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFPGrowthSinglePathShortcut(t *testing.T) {
-	// All transactions identical: the FP-tree is one path.
-	var recs []itemset.Itemset
-	for i := 0; i < 7; i++ {
-		recs = append(recs, itemset.New(1, 2, 3, 4))
-	}
-	db := itemset.NewDatabase(recs)
-	res, err := FPGrowth(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 15 {
-		t.Errorf("single-path output %d itemsets, want 2^4-1=15", res.Len())
-	}
-	for _, fi := range res.Itemsets {
-		if fi.Support != 7 {
-			t.Errorf("T(%v) = %d, want 7", fi.Set, fi.Support)
-		}
-	}
-}
-
-func TestFPGrowthEdgeCases(t *testing.T) {
-	if _, err := FPGrowth(nil, 1); err == nil {
-		t.Error("nil db accepted")
-	}
-	empty := itemset.NewDatabase(nil)
-	res, err := FPGrowth(empty, 1)
-	if err != nil || res.Len() != 0 {
-		t.Errorf("empty db: %v, %d itemsets", err, res.Len())
-	}
-	// Threshold above everything.
-	db := itemset.NewDatabase([]itemset.Itemset{itemset.New(1)})
-	res, err = FPGrowth(db, 2)
-	if err != nil || res.Len() != 0 {
-		t.Errorf("unreachable threshold: %v, %d", err, res.Len())
-	}
-}
-
-func TestFPGrowthOnPaperExample(t *testing.T) {
-	db := paperex.Window12()
-	res, err := FPGrowth(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Eclat(db, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, res, want, "fpgrowth paperex")
-}
-
-func BenchmarkFPGrowthWindow2000(b *testing.B) {
-	src := rng.New(7)
-	db := randomDB(src, 2000, 60, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FPGrowth(db, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestClosedLCMMatchesClosedFilter(t *testing.T) {
-	src := rng.New(606)
-	for trial := 0; trial < 40; trial++ {
-		db := randomDB(src, 40, 9, 6)
-		minSup := 1 + src.Intn(8)
-		all, err := Eclat(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := all.Closed()
-		got, err := ClosedLCM(db, minSup)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, got, want, "lcm")
-	}
-}
-
-func TestClosedLCMProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		s := rng.New(uint64(seed))
-		db := randomDB(s, 25, 6, 4)
-		minSup := 1 + s.Intn(4)
-		all, err1 := Apriori(db, minSup)
-		got, err2 := ClosedLCM(db, minSup)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		want := all.Closed()
-		if got.Len() != want.Len() {
-			return false
-		}
-		for _, fi := range want.Itemsets {
-			sup, ok := got.Support(fi.Set)
-			if !ok || sup != fi.Support {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClosedLCMFullDatabaseClosure(t *testing.T) {
-	// Item 0 in every record: the root closure {0} (support N) must be
-	// emitted.
-	db := itemset.NewDatabase([]itemset.Itemset{
-		itemset.New(0, 1), itemset.New(0, 2), itemset.New(0),
-	})
-	res, err := ClosedLCM(db, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup, ok := res.Support(itemset.New(0)); !ok || sup != 3 {
-		t.Errorf("root closure {0}: %d,%v", sup, ok)
-	}
-	// {1} alone is NOT closed ({0,1} has equal support).
-	if _, ok := res.Support(itemset.New(1)); ok {
-		t.Error("{1} reported closed despite {0,1} having equal support")
-	}
-	if _, ok := res.Support(itemset.New(0, 1)); !ok {
-		t.Error("{0,1} missing")
-	}
-}
-
-func TestClosedLCMEmptyAndThreshold(t *testing.T) {
-	empty := itemset.NewDatabase(nil)
-	res, err := ClosedLCM(empty, 1)
-	if err != nil || res.Len() != 0 {
-		t.Errorf("empty db: %v %d", err, res.Len())
-	}
-	db := itemset.NewDatabase([]itemset.Itemset{itemset.New(1)})
-	res, err = ClosedLCM(db, 5)
-	if err != nil || res.Len() != 0 {
-		t.Errorf("threshold above N: %v %d", err, res.Len())
-	}
-}
-
-func BenchmarkClosedLCMWindow2000(b *testing.B) {
-	src := rng.New(7)
-	db := randomDB(src, 2000, 60, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ClosedLCM(db, 50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -52,8 +52,8 @@ func TestDeltaCheckpointingIsTransparent(t *testing.T) {
 // TestKillAndResumeMixedChainsByteIdentical is the delta acceptance sweep:
 // kill after EVERY checkpointed window boundary — so the newest durable
 // generation alternates between anchor fulls and chain tips — and resume;
-// the tail must be byte-identical to the uninterrupted reference at the
-// serial tier and two chunked worker counts.
+// the tail must be byte-identical to the uninterrupted reference at workers
+// 1, 2 and 8.
 func TestKillAndResumeMixedChainsByteIdentical(t *testing.T) {
 	records := testRecords(t, resumeRecords)
 	step := 1
@@ -149,23 +149,26 @@ func TestCrashDuringDeltaChainThenResume(t *testing.T) {
 	}
 }
 
-// TestDeltaResumeAcrossChunkedWorkerCounts: a chain written by a workers=2
-// run resumes byte-identically under workers=8 — the snapshot reconstructed
-// from anchor + frames is worker-count-portable like a full snapshot.
+// TestDeltaResumeAcrossChunkedWorkerCounts: a chain written at one worker
+// count resumes byte-identically at another, 1 included — the snapshot
+// reconstructed from anchor + frames is worker-count-portable like a full
+// snapshot.
 func TestDeltaResumeAcrossChunkedWorkerCounts(t *testing.T) {
 	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	ref := reference(t, 1, records)
 	const kill = 20 // generation 20 is a chain tip (3 frames past full@17)
-	store, err := checkpoint.NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, pair := range [][2]int{{2, 8}, {1, 2}, {8, 1}} {
+		store, err := checkpoint.NewStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runKilled(t, deltaConfig(pair[0], store, 1), records, kill)
+		if _, det, err := store.LatestDetail(); err != nil || det.Frames == 0 {
+			t.Fatalf("kill point did not land on a chain tip: %+v, %v", det, err)
+		}
+		tail := resumeRun(t, deltaConfig(pair[1], store, 1), store, records)
+		sameTail(t, fmt.Sprintf("workers %d -> %d through a chain", pair[0], pair[1]), tail, ref[kill:])
 	}
-	runKilled(t, deltaConfig(2, store, 1), records, kill)
-	if _, det, err := store.LatestDetail(); err != nil || det.Frames == 0 {
-		t.Fatalf("kill point did not land on a chain tip: %+v, %v", det, err)
-	}
-	tail := resumeRun(t, deltaConfig(8, store, 1), store, records)
-	sameTail(t, "workers 2 -> 8 through a chain", tail, ref[kill:])
 }
 
 // TestSparseDeltaCheckpointRepublishesOverlapIdentically: CheckpointEvery=3

@@ -1,7 +1,7 @@
 package pipeline
 
 // Telemetry tests: the observation-only A/B contract (published bytes
-// identical with metrics on and off at every worker tier), the recording
+// identical with metrics on and off at every worker count), the recording
 // contract (every stage signal lands in the registry), and the doc-sync
 // gate (OBSERVABILITY.md and the live registry list exactly the same
 // metric names, in both directions).

@@ -65,8 +65,9 @@ func sameWindows(t *testing.T, label string, a, b []pipeline.Window) {
 }
 
 // legacyDrive replicates the pre-pipeline publication loop verbatim on a
-// core.Stream whose publisher runs with the given worker setting. It is the
-// reference the pipeline paths are pinned against.
+// core.Stream whose publisher runs with the given worker setting: one
+// goroutine, no stage overlap. It is the reference the pipeline paths are
+// pinned against.
 func legacyDrive(t *testing.T, cfg pipeline.Config, pubWorkers int, records []itemset.Itemset) []pipeline.Window {
 	t.Helper()
 	stream, err := core.NewStream(core.StreamConfig{
@@ -103,8 +104,7 @@ func legacyDrive(t *testing.T, cfg pipeline.Config, pubWorkers int, records []it
 }
 
 // TestSerialPathMatchesLegacyDrive pins the Workers=1 pipeline to the
-// historical inline loop: same windows, same sanitized supports, same order
-// — the byte-compatibility guarantee behind `-workers 1`.
+// single-goroutine loop: same windows, same sanitized supports, same order.
 func TestSerialPathMatchesLegacyDrive(t *testing.T) {
 	records := testRecords(t, 900)
 	cfg := testConfig(1)
@@ -113,28 +113,28 @@ func TestSerialPathMatchesLegacyDrive(t *testing.T) {
 }
 
 // TestStagedMatchesSequentialChunkedDrive pins the staged concurrent path
-// to a single-goroutine drive of the same chunked publisher: overlapping
-// the stages must not change a single published value.
+// with a worker pool to a single-goroutine drive of an inline publisher:
+// neither overlapping the stages nor fanning chunks out may change a single
+// published value.
 func TestStagedMatchesSequentialChunkedDrive(t *testing.T) {
 	records := testRecords(t, 900)
 	cfg := testConfig(4)
-	sameWindows(t, "staged vs sequential chunked",
-		legacyDrive(t, cfg, 2, records), collect(t, cfg, records))
+	sameWindows(t, "staged vs single-goroutine",
+		legacyDrive(t, cfg, 1, records), collect(t, cfg, records))
 }
 
 // TestStagedWorkerCountInvariance requires identical output from every
 // staged worker count (the chunked-RNG determinism contract end to end).
 func TestStagedWorkerCountInvariance(t *testing.T) {
 	records := testRecords(t, 900)
-	ref := collect(t, testConfig(2), records)
-	for _, workers := range []int{3, 4, 8} {
+	ref := collect(t, testConfig(1), records)
+	for _, workers := range []int{2, 3, 4, 8} {
 		sameWindows(t, "staged worker invariance", ref, collect(t, testConfig(workers), records))
 	}
 }
 
 // TestRawModeIdenticalAcrossAllWorkerCounts: audit mode never touches the
-// RNG, so raw output must be identical across every worker count including
-// the serial path.
+// RNG, so raw output must be identical across every worker count.
 func TestRawModeIdenticalAcrossAllWorkerCounts(t *testing.T) {
 	records := testRecords(t, 900)
 	mk := func(workers int) pipeline.Config {

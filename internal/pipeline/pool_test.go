@@ -24,7 +24,7 @@ func poolConfig(workers int) Config {
 
 // TestPooledPipelineRunIdentity: with the freelist under maximum pressure
 // (Buffer=1), two runs over the same seeded stream publish byte-identical
-// windows at every worker tier. CI executes this race-enabled.
+// windows at every worker count. CI executes this race-enabled.
 func TestPooledPipelineRunIdentity(t *testing.T) {
 	records := data.WebViewLike(3).Generate(900)
 	for _, workers := range []int{1, 2, 8} {

@@ -167,7 +167,7 @@ func TestCheckpointingIsTransparent(t *testing.T) {
 // TestKillAndResumeByteIdentical is the acceptance sweep: kill the run after
 // EVERY checkpointed window boundary of the 61-window fixture and resume;
 // the resumed tail must be byte-identical to the uninterrupted reference, at
-// the serial tier and two chunked worker counts.
+// workers 1, 2 and 8.
 func TestKillAndResumeByteIdentical(t *testing.T) {
 	records := testRecords(t, resumeRecords)
 	step := 1
@@ -291,25 +291,27 @@ func TestCrashDuringCheckpointSaveThenResume(t *testing.T) {
 	}
 }
 
-// TestResumeAcrossChunkedWorkerCounts: the chunked tier publishes
-// identically for every worker count >= 2, so a snapshot from a workers=2
-// run must resume byte-identically under workers=8 (and vice versa).
+// TestResumeAcrossChunkedWorkerCounts: every worker count publishes
+// identically, so a snapshot taken at one worker count must resume
+// byte-identically at any other, 1 included.
 func TestResumeAcrossChunkedWorkerCounts(t *testing.T) {
 	records := testRecords(t, resumeRecords)
-	ref := reference(t, 2, records)
+	ref := reference(t, 1, records)
 	const kill = 20
-	store, err := checkpoint.NewStore(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, pair := range [][2]int{{2, 8}, {1, 8}, {8, 1}, {2, 1}} {
+		store, err := checkpoint.NewStore(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runKilled(t, resumeConfig(pair[0], store, 1), records, kill)
+		tail := resumeRun(t, resumeConfig(pair[1], store, 1), store, records)
+		sameTail(t, fmt.Sprintf("workers %d -> %d", pair[0], pair[1]), tail, ref[kill:])
 	}
-	runKilled(t, resumeConfig(2, store, 1), records, kill)
-	tail := resumeRun(t, resumeConfig(8, store, 1), store, records)
-	sameTail(t, "workers 2 -> 8", tail, ref[kill:])
 }
 
 // TestResumeRefusesMismatchedConfiguration: a snapshot from one
-// configuration must not restore into another — seed, scheme, window, or
-// draw-order tier.
+// configuration must not restore into another — seed, scheme, publication
+// cadence or raw mode. The worker count is not part of the configuration.
 func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 	records := testRecords(t, resumeRecords)
 	store, err := checkpoint.NewStore(t.TempDir(), 0)
@@ -325,7 +327,6 @@ func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 		func(c *pipeline.Config) { c.Seed = 99 },
 		func(c *pipeline.Config) { c.Scheme = core.Basic{} },
 		func(c *pipeline.Config) { c.PublishEvery = 5 },
-		func(c *pipeline.Config) { c.Workers = 1 }, // chunked -> sequential tier
 		func(c *pipeline.Config) { c.Raw = true },
 	}
 	for i, mutate := range mismatches {
@@ -336,11 +337,48 @@ func TestResumeRefusesMismatchedConfiguration(t *testing.T) {
 			t.Errorf("mismatch %d accepted for resume", i)
 		}
 	}
-	// The unmutated configuration is accepted.
-	cfg := resumeConfig(2, store, 1)
-	cfg.Resume = snap
-	if _, err := pipeline.New(cfg); err != nil {
-		t.Fatalf("matching configuration refused: %v", err)
+	// The unmutated configuration is accepted, at any worker count.
+	for _, workers := range []int{1, 2, 8} {
+		cfg := resumeConfig(workers, store, 1)
+		cfg.Resume = snap
+		if _, err := pipeline.New(cfg); err != nil {
+			t.Fatalf("matching configuration refused at workers=%d: %v", workers, err)
+		}
+	}
+}
+
+// TestResumeRefusesSequentialDrawOrder: a snapshot an older build wrote under
+// workers=1 decodes with Meta.SequentialDraws set (its draw-order byte is 0).
+// Resuming it in the chunked order would redraw windows already published,
+// so resume fails with ErrSequentialDrawOrder at every worker count.
+func TestResumeRefusesSequentialDrawOrder(t *testing.T) {
+	records := testRecords(t, resumeRecords)
+	store, err := checkpoint.NewStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runKilled(t, resumeConfig(1, store, 1), records, 5)
+	snap, _, err := store.Latest()
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot: %v", err)
+	}
+	snap.Meta.SequentialDraws = true
+	b, err := checkpoint.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := checkpoint.Decode(b)
+	if err != nil {
+		t.Fatalf("decoding a sequential-order snapshot: %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := resumeConfig(workers, store, 1)
+		cfg.Resume = legacy
+		_, err := pipeline.New(cfg)
+		if !errors.Is(err, checkpoint.ErrSequentialDrawOrder) ||
+			!strings.Contains(err.Error(), "retired sequential draw order") {
+			t.Fatalf("workers=%d: resume of a sequential-order snapshot: %v, want ErrSequentialDrawOrder", workers, err)
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ func collectCtx(t *testing.T, cfg pipeline.Config, src pipeline.RecordSource) ([
 
 // TestReaderSourceRunMatchesSliceRun: streaming the input file through
 // ReaderSource must publish exactly what a materialized SliceSource run
-// over the parsed records publishes, at both worker tiers.
+// over the parsed records publishes, inline and with a worker pool.
 func TestReaderSourceRunMatchesSliceRun(t *testing.T) {
 	text := streamText(t, testRecords(t, 700))
 	records, _, err := data.ReadTransactions(strings.NewReader(text))

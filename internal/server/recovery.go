@@ -242,6 +242,10 @@ func (s *Server) adopt(id string, e manifestEntry) (parked bool, replayed int, t
 	if s.opts.hookStore != nil {
 		s.opts.hookStore(id, store)
 	}
+	if err := e.Fingerprint.CheckDrawOrder(); err != nil {
+		park(StateQuarantined, err.Error(), true)
+		return
+	}
 	if fp := st.pipeCfg.Fingerprint(); fp != e.Fingerprint {
 		park(StateQuarantined, "manifest fingerprint does not match the stream config", true)
 		return

@@ -331,6 +331,93 @@ func TestRecoverManifestStates(t *testing.T) {
 	c2.waitState("q", StateDone, 60*time.Second)
 }
 
+// TestRecoverRefusesSequentialDrawOrder: a manifest entry an older build
+// wrote under workers=1 carries "Chunked": false — the retired sequential
+// draw order. Resuming it in the chunked order would redraw windows already
+// published, so adoption quarantines that stream with a reason naming the
+// draw order, refuses to restart it, and keeps the marker in the rewritten
+// manifest. A neighbour written under workers >= 2 ("Chunked": true, the
+// order every worker count now uses) is adopted as usual.
+func TestRecoverRefusesSequentialDrawOrder(t *testing.T) {
+	root := t.TempDir()
+	srv1, c1 := newTestServer(t, Options{DataDir: root})
+	seqCfg := testConfig("seq", 1)
+	seqCfg.Workers = 1
+	c1.create(seqCfg)
+	c1.create(testConfig("chunked", 2))
+	c1.ingestAll("seq", genInput(t, 3, 150))
+	c1.ingestAll("chunked", genInput(t, 4, 150))
+	srv1.Abort()
+
+	path := filepath.Join(root, "manifest.json")
+	fingerprints := func() map[string]map[string]any {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mf struct {
+			Streams map[string]struct {
+				Fingerprint map[string]any `json:"fingerprint"`
+			} `json:"streams"`
+		}
+		if err := json.Unmarshal(raw, &mf); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]map[string]any{}
+		for id, e := range mf.Streams {
+			out[id] = e.Fingerprint
+		}
+		return out
+	}
+	for id, fp := range fingerprints() {
+		if fp["Chunked"] != true {
+			t.Fatalf("stream %s manifest fingerprint Chunked = %v, want true at every worker count", id, fp["Chunked"])
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mf map[string]any
+	if err := json.Unmarshal(raw, &mf); err != nil {
+		t.Fatal(err)
+	}
+	mf["streams"].(map[string]any)["seq"].(map[string]any)["fingerprint"].(map[string]any)["Chunked"] = false
+	legacy, err := json.Marshal(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, Options{DataDir: root})
+	rep, err := srv2.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rep.Adopted != 1 || rep.Parked != 1 {
+		t.Fatalf("recover adopted %d / parked %d, want 1/1", rep.Adopted, rep.Parked)
+	}
+	if _, st := c2.status("chunked"); st.State != StateRunning {
+		t.Errorf("chunked stream adopted as %q, want running", st.State)
+	}
+	_, st := c2.status("seq")
+	if st.State != StateQuarantined {
+		t.Fatalf("sequential-order stream adopted as %q, want quarantined", st.State)
+	}
+	if !strings.Contains(st.LastError, "retired sequential draw order") {
+		t.Errorf("quarantine reason %q does not name the retired sequential draw order", st.LastError)
+	}
+	if resp, body := c2.do("POST", "/v1/streams/seq/resume", nil); resp.StatusCode == http.StatusOK {
+		t.Errorf("sequential-order stream restarted: %s", body)
+	}
+	if fp := fingerprints()["seq"]; fp["Chunked"] != false {
+		t.Errorf("rewritten manifest lost the sequential-order marker: Chunked = %v", fp["Chunked"])
+	}
+}
+
 // TestRecoverOrphanSweep pins the GC ordering contract: directories the
 // manifest does not claim are swept at boot, and an unreadable manifest
 // aborts recovery without sweeping anything.

@@ -88,7 +88,9 @@ func renderWindow(t *testing.T, w pipeline.Window, vocab *data.Vocabulary) strin
 }
 
 // referenceWindows runs the standalone pipeline over input — no server, no
-// faults, no checkpoints — and returns position → rendered window.
+// faults, no checkpoints — and returns position → rendered window. It runs
+// with one worker whatever cfg.Workers says: output does not depend on the
+// worker count, so hosted streams at any count are pinned to the same bytes.
 func referenceWindows(t *testing.T, cfg StreamConfig, input string) map[int]string {
 	t.Helper()
 	scheme, err := core.SchemeByName(cfg.Scheme, cfg.Lambda, cfg.Gamma)
@@ -103,7 +105,7 @@ func referenceWindows(t *testing.T, cfg StreamConfig, input string) map[int]stri
 		ClosedOnly:    cfg.ClosedOnly,
 		Raw:           cfg.Raw,
 		PublishEvery:  cfg.PublishEvery,
-		Workers:       cfg.Workers,
+		Workers:       1,
 		MaxBadRecords: cfg.MaxBadRecords,
 	}
 	p, err := pipeline.New(pcfg)
@@ -285,7 +287,7 @@ type diffSpec struct {
 }
 
 // TestDifferentialIdentity hosts nine concurrent streams — clean ones
-// across schemes and worker tiers, one fed malformed lines, one with
+// across schemes and worker counts, one fed malformed lines, one with
 // retried transient sink faults, and three that hard-fail (sink error,
 // sink panic, source error) and must restart from checkpoint + replay —
 // and pins every stream's published windows byte-identical to independent
@@ -294,7 +296,7 @@ func TestDifferentialIdentity(t *testing.T) {
 	specs := []*diffSpec{
 		{cfg: withScheme(testConfig("clean-basic", 1), "basic", 1)},
 		{cfg: testConfig("clean-hybrid", 2)},
-		{cfg: withScheme(testConfig("clean-ratio", 3), "ratio", 4)},
+		{cfg: withScheme(testConfig("clean-ratio", 3), "ratio", 8)},
 		{cfg: withScheme(testConfig("clean-order", 4), "order", 1)},
 		{cfg: badBudget(testConfig("bad-lines", 5))},
 		{cfg: withRetries(testConfig("transient-sink", 6), 5),

@@ -55,9 +55,8 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 			case *GaugeFunc:
 				ss.Value = m.Value()
 			case *Histogram:
-				ss.Count = m.Count()
+				ss.Bounds, ss.Cumulative, ss.Count = m.load()
 				ss.Sum = m.Sum()
-				ss.Bounds, ss.Cumulative = m.Buckets()
 			}
 			fs.Series = append(fs.Series, ss)
 		}

@@ -110,13 +110,14 @@ func (g *GaugeFunc) Value() float64 { return g.fn() }
 
 // Histogram is a fixed-bucket cumulative histogram in the Prometheus
 // model: Observe(v) increments the first bucket whose upper bound admits v
-// (plus the implicit +Inf bucket), the total count, and the running sum.
-// Buckets are fixed at registration; observations are lock-free.
+// (or the implicit +Inf bucket) and the running sum. Buckets are fixed at
+// registration; observations are lock-free. The total count is not kept
+// separately: it is the sum of the bucket counters, so a reader that takes
+// both from one pass can never see a bucket above the count.
 type Histogram struct {
-	bounds []float64 // strictly increasing upper bounds; +Inf implicit
-	counts []atomic.Uint64
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	bounds []float64       // strictly increasing upper bounds; +Inf implicit
+	counts []atomic.Uint64 // per bucket, the last one +Inf
+	sum    atomic.Uint64   // float64 bits, CAS-updated
 }
 
 // DefBuckets is the default duration ladder (seconds), spanning 100µs to
@@ -151,7 +152,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -167,8 +167,13 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the bucket counters.
+func (h *Histogram) Count() (n uint64) {
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -177,14 +182,23 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 // (Prometheus `le` semantics), excluding the +Inf bucket (whose cumulative
 // count is Count()). The two slices are freshly allocated.
 func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {
+	bounds, cumulative, _ = h.load()
+	return bounds, cumulative
+}
+
+// load reads every bucket counter once and returns the bounds, the
+// cumulative counts per bound and the total count including +Inf — a
+// consistent view even under concurrent Observe calls.
+func (h *Histogram) load() (bounds []float64, cumulative []uint64, count uint64) {
 	bounds = append([]float64(nil), h.bounds...)
 	cumulative = make([]uint64, len(h.bounds))
-	var acc uint64
-	for i := range h.bounds {
-		acc += h.counts[i].Load()
-		cumulative[i] = acc
+	for i := range h.counts {
+		count += h.counts[i].Load()
+		if i < len(cumulative) {
+			cumulative[i] = count
+		}
 	}
-	return bounds, cumulative
+	return bounds, cumulative, count
 }
 
 // Instrument types, as exposed in snapshots and the text format.
