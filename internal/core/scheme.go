@@ -1,10 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/fec"
 )
@@ -128,57 +131,102 @@ func (s OrderPreserving) gridSize() int {
 	return s.GridSize
 }
 
-// candidates returns the bias grid for one class: every integer in
-// [−β^m, β^m] when that is small, otherwise an even sampling that always
-// includes the endpoints and zero. The grid is small (at most gridSize+1
-// entries), so duplicate elimination is a linear scan — no map, no
-// allocation beyond the result slice. This runs once per class per
-// un-memoized Publish, so it is on the publish hot path.
-func (s OrderPreserving) candidates(p Params, t int) []int {
+// appendCandidates appends the bias grid for one class to dst: every
+// integer in [−β^m, β^m] when that is small, otherwise an even sampling
+// that always includes the endpoints and zero, sorted ascending. The grid
+// is small (at most gridSize+1 entries), so duplicate elimination is a
+// linear scan. This runs once per class per un-memoized Publish, so it is
+// on the publish hot path.
+func (s OrderPreserving) appendCandidates(dst []int, p Params, t int) []int {
 	bm := p.MaxBias(t)
 	m := s.gridSize()
 	if 2*bm+1 <= m {
-		out := make([]int, 0, 2*bm+1)
 		for b := -bm; b <= bm; b++ {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
-		return out
+		return dst
 	}
-	out := make([]int, 0, m+1)
+	start := len(dst)
 	step := 2 * float64(bm) / float64(m-1)
 	for k := 0; k <= m; k++ {
 		b := 0 // the final pass appends 0, matching the historical grid
 		if k < m {
 			b = int(math.Round(-float64(bm) + float64(k)*step))
 		}
-		dup := false
-		for _, x := range out {
-			if x == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, b)
+		if !slices.Contains(dst[start:], b) {
+			dst = append(dst, b)
 		}
 	}
 	// Keep the grid sorted after the possible append of 0.
+	out := dst[start:]
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j] < out[j-1]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	return out
+	return dst
 }
 
 // denseStateLimit is the largest per-tier state space (maxGrid^min(γ, n))
-// the DP runs on flat arrays. Beyond it — large γ at a wide grid — the
-// historical sparse map implementation takes over: it bounds live states by
-// the beam instead of materializing the full key space. Both paths compute
-// the identical bias assignment (a property test cross-checks them); the
-// dense path exists because the map DP was the publish hot path's dominant
-// allocator (~100k allocs per benched op before the rewrite).
+// the DP runs on flat arrays (biasesDense). Beyond it — large γ at a wide
+// grid — the map implementation (biasesSparse) takes over: it bounds live
+// states by the beam instead of materializing the full key space. Both
+// paths compute the identical bias assignment, ties included;
+// TestOrderPreservingDenseSparseAgree pins that, with the sparse path as
+// the oracle.
 const denseStateLimit = 4096
+
+// dpArena is the scratch of one bias optimization: the candidate grids,
+// the backtracking chain, two cost tiers and the per-class tables. Arenas
+// are pooled, so a steady-state publish allocates none of it, and every
+// concurrent Biases call (butterflyd runs one publisher per stream) holds
+// its own.
+type dpArena struct {
+	grid    []int   // every class's candidate biases, back to back
+	ends    []int   // ends[i] is the end of class i's grid in grid
+	cands   [][]int // per-class views into grid
+	pow     []int   // pow[k] = maxGrid^k
+	offsets []int   // class i's backtracking states start at prev[offsets[i]]
+	prev    []int32
+	cost    []int64
+	next    []int64
+	// Per candidate of the current class:
+	est   []int   // its estimator
+	zero  []int   // predecessors whose pair term is zero
+	feas  []int   // (γ=1) predecessors below its estimator
+	hold  []int64 // pair terms that do not depend on the dropped class
+	above []int   // per candidate of the previous class: the first one above it
+	idxs  []int
+	keys  []int
+}
+
+var dpArenas = sync.Pool{New: func() any { return new(dpArena) }}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// grids fills the arena with every class's candidate grid and returns the
+// per-class grids and the widest grid's size.
+func (s OrderPreserving) grids(a *dpArena, classes []fec.Class, p Params) ([][]int, int) {
+	a.grid, a.ends = a.grid[:0], a.ends[:0]
+	for _, c := range classes {
+		a.grid = s.appendCandidates(a.grid, p, c.Support)
+		a.ends = append(a.ends, len(a.grid))
+	}
+	a.cands = a.cands[:0]
+	maxGrid, start := 0, 0
+	for _, end := range a.ends {
+		a.cands = append(a.cands, a.grid[start:end:end])
+		maxGrid = max(maxGrid, end-start)
+		start = end
+	}
+	return a.cands, maxGrid
+}
 
 // Biases implements Scheme via the γ-lookback dynamic program.
 func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
@@ -191,14 +239,9 @@ func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
 	if gamma == 0 {
 		return out // no pairwise terms: the zero-bias assignment is optimal
 	}
-	cands := make([][]int, n)
-	maxGrid := 0
-	for i, c := range classes {
-		cands[i] = s.candidates(p, c.Support)
-		if len(cands[i]) > maxGrid {
-			maxGrid = len(cands[i])
-		}
-	}
+	a := dpArenas.Get().(*dpArena)
+	defer dpArenas.Put(a)
+	cands, maxGrid := s.grids(a, classes, p)
 	space := 1
 	for k := 0; k < min(gamma, n); k++ {
 		space *= maxGrid
@@ -206,136 +249,262 @@ func (s OrderPreserving) Biases(classes []fec.Class, p Params) []int {
 			return s.biasesSparse(classes, p, cands, maxGrid, out)
 		}
 	}
-	return s.biasesDense(classes, p, cands, maxGrid, out)
+	return s.biasesDense(a, classes, p, cands, maxGrid, out)
 }
 
-// biasesDense is the flat-array DP: states are dense arrays indexed by the
-// encoded candidate-index tuple, with +Inf marking absent states. Iterating
-// keys in ascending order reproduces the sparse implementation's
-// sorted-key processing order exactly, so tie-breaking — first-processed
-// state wins equal costs — and therefore the chosen biases are identical.
-// The whole tier fits a few KiB (the caller guarantees the state space is
-// at most denseStateLimit), and the only allocations are a handful of flat
-// slices sized once per call.
-func (s OrderPreserving) biasesDense(classes []fec.Class, p Params, cands [][]int, maxGrid int, out []int) []int {
+// noState marks an absent DP state in the dense cost tiers.
+const noState = math.MaxInt64
+
+func fillNoState(costs []int64) {
+	for k := range costs {
+		costs[k] = noState
+	}
+}
+
+// biasesDense is the flat-array DP. A state after class i is the tuple of
+// candidate indices of the last min(γ, i+1) classes, encoded base maxGrid
+// with the oldest class as the most significant digit; costs live in dense
+// int64 arrays indexed by that key, noState marking absent states.
+//
+// It chooses exactly what biasesSparse chooses, ties included, because:
+//
+//   - Costs are exact integers. Every pair term is w·gap² with integer
+//     weight and gap, so the sums are exact and the order of additions
+//     cannot turn a tie into a strict inequality or back.
+//   - The sparse DP visits predecessor keys in ascending order and a later
+//     predecessor replaces an earlier one only at strictly lower cost, so
+//     each state keeps the first argmin. Once the state is full, the
+//     predecessors of state (r, c) — r the digits of classes i−γ+1..i−1,
+//     c class i's candidate — are the keys d·maxGrid^(γ−1)+r for the
+//     dropped class i−γ's candidates d, ascending in d. Only the pair term
+//     between i−γ and i depends on d; the others are added once, after the
+//     minimum. Candidates are sorted, so the predecessors whose estimator
+//     lies at least α+1 below class i's — zero pair term — are a prefix of
+//     d, and one first-argmin prefix minimum per r answers them; the rest
+//     are scanned in order up to the last live predecessor (or, at γ=1,
+//     up to the first one the estimator order excludes).
+//   - The beam and the final pick break ties by the smaller key, as the
+//     sparse path does.
+//
+// Per class, this costs O(maxGrid^γ) for the prefix minima and the state
+// updates plus the short scans, against O(maxGrid^(γ+1)·γ) for visiting
+// every (predecessor, candidate) pair. All scratch comes from the arena.
+func (s OrderPreserving) biasesDense(a *dpArena, classes []fec.Class, p Params, cands [][]int, maxGrid int, out []int) []int {
 	n := len(classes)
 	gamma := s.gamma()
 	alpha := p.Alpha()
 	beam := s.maxStates()
-	inf := math.Inf(1)
+	g := maxGrid
 
-	pow := func(k int) int {
-		r := 1
-		for ; k > 0; k-- {
-			r *= maxGrid
+	// pair is the inversion cost of classes j < i at biases bj, bi.
+	pair := func(j, i, bj, bi int) int64 {
+		d := (classes[i].Support + bi) - (classes[j].Support + bj)
+		if d >= alpha+1 {
+			return 0
 		}
-		return r
+		gap := int64(alpha + 1 - d)
+		return int64(classes[j].Size()+classes[i].Size()) * gap * gap
+	}
+
+	span := min(gamma, n)
+	pow := resize(a.pow, span+1)
+	a.pow = pow
+	pow[0] = 1
+	for k := 1; k <= span; k++ {
+		pow[k] = pow[k-1] * g
 	}
 	// prev[offsets[i]+key] is the predecessor key of state `key` after
 	// class i — the backtracking chain, stored as one flat arena.
-	offsets := make([]int, n+1)
+	offsets := resize(a.offsets, n+1)
+	a.offsets = offsets
+	offsets[0] = 0
 	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + pow(min(gamma, i+1))
+		offsets[i+1] = offsets[i] + pow[min(gamma, i+1)]
 	}
-	prev := make([]int32, offsets[n])
+	prev := resize(a.prev, offsets[n])
+	cost := resize(a.cost, pow[span])
+	next := resize(a.next, pow[span])
+	a.prev, a.cost, a.next = prev, cost, next
+	est := resize(a.est, g)
+	zero := resize(a.zero, g)
+	feas := resize(a.feas, g)
+	above := resize(a.above, g)
+	hold := resize(a.hold, g)
+	clear(hold) // stays zero at γ=1
+	idxs := resize(a.idxs, gamma)
+	a.est, a.zero, a.feas, a.above, a.hold, a.idxs = est, zero, feas, above, hold, idxs
 
-	spaceFull := pow(min(gamma, n))
-	cost := make([]float64, spaceFull)
-	next := make([]float64, spaceFull)
-	idxs := make([]int, gamma)
-
-	space0 := pow(1)
-	for k := 0; k < space0; k++ {
-		cost[k] = inf
-	}
-	for ci := range cands[0] {
-		cost[ci] = 0
+	fillNoState(cost[:g])
+	for c := range cands[0] {
+		cost[c] = 0
 	}
 
 	for i := 1; i < n; i++ {
 		spanPrev := min(gamma, i) // classes i-spanPrev..i-1 are in the predecessor state
-		spacePrev := pow(spanPrev)
-		spaceCur := pow(min(gamma, i+1))
-		for k := 0; k < spaceCur; k++ {
-			next[k] = inf
-		}
-		grow := spanPrev < gamma
-		dropMod := 1
-		if !grow {
-			dropMod = pow(gamma - 1)
-		}
+		spaceCur := pow[min(gamma, i+1)]
+		nx := next[:spaceCur]
+		ti, cur := classes[i].Support, cands[i]
+		pv := prev[offsets[i]:offsets[i+1]]
 		live := 0
-		for key := 0; key < spacePrev; key++ {
-			entCost := cost[key]
-			if math.IsInf(entCost, 1) {
-				continue
-			}
-			// Decode key into the candidate indices of classes
-			// i-spanPrev..i-1 (most significant digit first).
-			k := key
-			for j := spanPrev - 1; j >= 0; j-- {
-				idxs[j] = k % maxGrid
-				k /= maxGrid
-			}
-			eprev := classes[i-1].Support + cands[i-1][idxs[spanPrev-1]]
-			for ci, bi := range cands[i] {
-				if classes[i].Support+bi <= eprev {
-					continue // estimator order violated
+
+		if spanPrev < gamma {
+			// The state still grows: each new key has exactly one
+			// predecessor, so there is nothing to minimize.
+			fillNoState(nx)
+			for key := 0; key < pow[spanPrev]; key++ {
+				base := cost[key]
+				if base == noState {
+					continue
 				}
-				add := 0.0
-				for off := 0; off < spanPrev; off++ {
-					j := i - spanPrev + off
-					d := (classes[i].Support + bi) - (classes[j].Support + cands[j][idxs[off]])
-					if d >= alpha+1 {
+				k := key
+				for j := spanPrev - 1; j >= 0; j-- {
+					idxs[j] = k % g
+					k /= g
+				}
+				eprev := classes[i-1].Support + cands[i-1][idxs[spanPrev-1]]
+				for c, b := range cur {
+					if ti+b <= eprev {
+						continue // estimator order violated
+					}
+					add := base
+					for off := 0; off < spanPrev; off++ {
+						j := i - spanPrev + off
+						add += pair(j, i, cands[j][idxs[off]], b)
+					}
+					nkey := key*g + c
+					nx[nkey] = add
+					pv[nkey] = int32(key)
+					live++
+				}
+			}
+		} else {
+			dropMod := pow[gamma-1]
+			jd := i - gamma // the class that leaves the state
+			td, cd := classes[jd].Support, cands[jd]
+			wd := int64(classes[jd].Size() + classes[i].Size())
+			est := est[:len(cur)]
+			for c, b := range cur {
+				est[c] = ti + b
+			}
+			// zero[c]: the dropped class's candidates d < zero[c] sit at
+			// least α+1 below candidate c, so their pair term is zero.
+			// feas[c] (γ=1, where the dropped class is i−1): candidates
+			// d < feas[c] keep the estimator order below candidate c.
+			dz, df := 0, 0
+			for c, e := range est {
+				for dz < len(cd) && td+cd[dz] <= e-alpha-1 {
+					dz++
+				}
+				for df < len(cd) && td+cd[df] < e {
+					df++
+				}
+				zero[c], feas[c] = dz, df
+			}
+			// above[k]: class i's first candidate above class i−1's
+			// candidate k (γ ≥ 2, where class i−1 is in the state).
+			if gamma > 1 {
+				c, tp := 0, classes[i-1].Support
+				for k, b := range cands[i-1] {
+					for c < len(est) && est[c] <= tp+b {
+						c++
+					}
+					above[k] = c
+				}
+			}
+			for r := 0; r < dropMod; r++ {
+				last := len(cd) // one past the last live predecessor d·dropMod+r
+				for last > 0 && cost[(last-1)*dropMod+r] == noState {
+					last--
+				}
+				row := nx[r*g : r*g+g]
+				if last == 0 {
+					fillNoState(row)
+					continue
+				}
+				// hold[c] sums the pair terms of classes i−γ+1..i−1 —
+				// the digits of r — which do not depend on the dropped
+				// class, so they are added after the minimum.
+				first := 0
+				if gamma > 1 {
+					first = above[r%g]
+					fillNoState(row[:first])
+					clear(hold[first:])
+					for off, k := gamma-1, r; off > 0; off, k = off-1, k/g {
+						j := jd + off
+						w := int64(classes[j].Size() + classes[i].Size())
+						lim := classes[j].Support + cands[j][k%g] + alpha + 1
+						for c := first; c < len(est); c++ {
+							gap := int64(lim - est[c])
+							if gap <= 0 {
+								break // the gap only grows with c
+							}
+							hold[c] += w * gap * gap
+						}
+					}
+				}
+				// Predecessors below lo(c) = min(zero[c], hi(c)) have a
+				// zero pair term; lo never decreases with c, so one running
+				// first-argmin prefix minimum serves every candidate.
+				p, pmCost, pmArg := 0, int64(noState), 0
+				for c := first; c < len(est); c++ {
+					hi := last
+					if gamma == 1 {
+						hi = min(hi, feas[c])
+					}
+					lo := min(zero[c], hi)
+					for ; p < lo; p++ {
+						if v := cost[p*dropMod+r]; v < pmCost {
+							pmCost, pmArg = v, p
+						}
+					}
+					best, arg := pmCost, pmArg
+					base := est[c] - alpha - 1
+					for d := lo; d < hi; d++ {
+						if v := cost[d*dropMod+r]; v != noState {
+							gap := int64(td + cd[d] - base)
+							if v += wd * gap * gap; v < best {
+								best, arg = v, d
+							}
+						}
+					}
+					if best == noState {
+						row[c] = noState
 						continue
 					}
-					w := float64(classes[j].Size() + classes[i].Size())
-					gap := float64(alpha + 1 - d)
-					add += w * gap * gap
-				}
-				var nkey int
-				if grow {
-					nkey = key*maxGrid + ci
-				} else {
-					nkey = (key%dropMod)*maxGrid + ci
-				}
-				c := entCost + add
-				if math.IsInf(next[nkey], 1) {
+					row[c] = best + hold[c]
+					pv[r*g+c] = int32(arg*dropMod + r)
 					live++
-					next[nkey] = c
-					prev[offsets[i]+nkey] = int32(key)
-				} else if c < next[nkey] {
-					next[nkey] = c
-					prev[offsets[i]+nkey] = int32(key)
 				}
+				fillNoState(row[len(est):])
 			}
 		}
+
 		if live == 0 {
 			// Cannot happen: the all-zero-bias chain is always feasible
 			// because class supports are strictly increasing. Guard anyway.
-			zero := indexOf(cands[i], 0)
-			next[zero] = 0
-			prev[offsets[i]+zero] = 0
+			z := indexOf(cur, 0)
+			nx[z] = 0
+			pv[z] = 0
 			live = 1
 		}
 		// Beam bound: keep only the cheapest states (ties by key, matching
 		// the sparse path) so a small MaxStates stays honored.
 		if live > beam {
-			keys := make([]int, 0, live)
-			for k := 0; k < spaceCur; k++ {
-				if !math.IsInf(next[k], 1) {
+			keys := a.keys[:0]
+			for k, v := range nx {
+				if v != noState {
 					keys = append(keys, k)
 				}
 			}
-			sort.Slice(keys, func(a, b int) bool {
-				ca, cb := next[keys[a]], next[keys[b]]
-				if ca != cb {
-					return ca < cb
+			a.keys = keys
+			slices.SortFunc(keys, func(x, y int) int {
+				if c := cmp.Compare(nx[x], nx[y]); c != 0 {
+					return c
 				}
-				return keys[a] < keys[b]
+				return cmp.Compare(x, y)
 			})
 			for _, k := range keys[beam:] {
-				next[k] = inf
+				nx[k] = noState
 			}
 		}
 		cost, next = next, cost
@@ -343,16 +512,15 @@ func (s OrderPreserving) biasesDense(classes []fec.Class, p Params, cands [][]in
 
 	// Pick the cheapest final state (smallest key on ties) and backtrack.
 	bestKey := 0
-	best := inf
-	for key := 0; key < pow(min(gamma, n)); key++ {
-		if cost[key] < best {
-			best = cost[key]
-			bestKey = key
+	best := int64(noState)
+	for key, v := range cost[:pow[span]] {
+		if v < best {
+			best, bestKey = v, key
 		}
 	}
 	key := bestKey
 	for i := n - 1; i >= 0; i-- {
-		out[i] = cands[i][key%maxGrid] // the last tuple element is the low digit
+		out[i] = cands[i][key%g] // the last tuple element is the low digit
 		key = int(prev[offsets[i]+key])
 	}
 	return out

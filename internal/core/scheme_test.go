@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fec"
@@ -200,7 +202,7 @@ func TestOrderPreservingEdgeCases(t *testing.T) {
 func TestOrderPreservingCandidatesIncludeAnchors(t *testing.T) {
 	p := Params{Epsilon: 0.05, Delta: 0.2, MinSupport: 25, VulnSupport: 5}
 	s := OrderPreserving{GridSize: 7}
-	c := s.candidates(p, 500) // βm large, grid sampled
+	c := s.appendCandidates(nil, p, 500) // βm large, grid sampled
 	bm := p.MaxBias(500)
 	has := func(v int) bool {
 		for _, x := range c {
@@ -266,11 +268,39 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
+// denseSparseAgree runs both DP paths on one ladder and fails unless they
+// choose the identical biases and those biases keep the estimators strictly
+// increasing.
+func denseSparseAgree(t *testing.T, label string, s OrderPreserving, classes []fec.Class, p Params) {
+	t.Helper()
+	n := len(classes)
+	a := new(dpArena)
+	cands, maxGrid := s.grids(a, classes, p)
+	dense := s.biasesDense(a, classes, p, cands, maxGrid, make([]int, n))
+	sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, n))
+	if !slices.Equal(dense, sparse) {
+		t.Fatalf("%s (γ=%d grid=%d beam=%d n=%d): dense %v != sparse %v",
+			label, s.gamma(), s.GridSize, s.MaxStates, n, dense, sparse)
+	}
+	for i := 1; i < n; i++ {
+		if ei, ep := classes[i].Support+dense[i], classes[i-1].Support+dense[i-1]; ei <= ep {
+			t.Fatalf("%s (γ=%d): estimator order violated at class %d: %d <= %d",
+				label, s.gamma(), i, ei, ep)
+		}
+	}
+}
+
 // TestOrderPreservingDenseSparseAgree pins the flat-array DP to the sparse
-// map DP: for random FEC ladders and a spread of γ/grid settings, both paths
-// must choose the identical bias assignment — including cost ties, which
-// both must resolve toward the smallest encoded state key. This is what
-// keeps published bytes stable across the denseStateLimit boundary.
+// map DP, the oracle: both paths must choose the identical bias assignment
+// — including cost ties, which both must resolve toward the smallest
+// encoded state key — and keep the estimator order. This is what keeps
+// published bytes stable across the denseStateLimit boundary. Inputs:
+// random ladders over a spread of γ/grid settings; the FEC ladders of
+// generator windows (the benchmark's WebView-like and POS-like streams) at
+// γ = 1, 2, 3 and under a small beam; and hand-built ladders with
+// consecutive supports, where the estimator order binds, both with equal
+// class sizes (many cost ties) and with heavy classes around light ones
+// (where dropping the order constraint would pay).
 func TestOrderPreservingDenseSparseAgree(t *testing.T) {
 	src := rng.New(20260808)
 	for trial := 0; trial < 200; trial++ {
@@ -289,21 +319,44 @@ func TestOrderPreservingDenseSparseAgree(t *testing.T) {
 		p := Params{Epsilon: 0.01 + src.Float64()*0.1, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
 		gamma := 1 + src.Intn(3)
 		grid := []int{0, 5, 13}[src.Intn(3)]
-		s := OrderPreserving{Gamma: gamma, GridSize: grid}
-		cands := make([][]int, n)
-		maxGrid := 0
-		for i, c := range classes {
-			cands[i] = s.candidates(p, c.Support)
-			if len(cands[i]) > maxGrid {
-				maxGrid = len(cands[i])
-			}
+		denseSparseAgree(t, fmt.Sprintf("random trial %d", trial), OrderPreserving{Gamma: gamma, GridSize: grid}, classes, p)
+	}
+
+	for _, l := range generatorLadders(t) {
+		for _, gamma := range []int{1, 2, 3} {
+			denseSparseAgree(t, l.name, OrderPreserving{Gamma: gamma}, l.classes, l.params)
 		}
-		dense := s.biasesDense(classes, p, cands, maxGrid, make([]int, n))
-		sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, n))
-		for i := range dense {
-			if dense[i] != sparse[i] {
-				t.Fatalf("trial %d (γ=%d grid=%d n=%d): dense %v != sparse %v",
-					trial, gamma, grid, n, dense, sparse)
+		denseSparseAgree(t, l.name, OrderPreserving{Gamma: 2, MaxStates: 5}, l.classes, l.params)
+	}
+
+	sized := func(start int, sizes ...int) []fec.Class {
+		out := make([]fec.Class, len(sizes))
+		for i, size := range sizes {
+			members := make([]itemset.Itemset, size)
+			for j := range members {
+				members[j] = itemset.New(itemset.Item(i*100 + j))
+			}
+			out[i] = fec.Class{Support: start + i, Members: members}
+		}
+		return out
+	}
+	equal := make([]int, 12)
+	for i := range equal {
+		equal[i] = 3
+	}
+	for _, tc := range []struct {
+		name    string
+		classes []fec.Class
+	}{
+		{"consecutive equal sizes", sized(20, equal...)},
+		{"consecutive equal sizes high", sized(60, equal...)},
+		{"consecutive heavy-light", sized(30, 50, 1, 1, 50, 50, 1, 1, 50)},
+		{"consecutive light-heavy", sized(25, 1, 40, 40, 1, 1, 40, 40, 1, 1, 40)},
+	} {
+		for _, eps := range []float64{0.02, 0.05, 0.1} {
+			p := Params{Epsilon: eps, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
+			for _, gamma := range []int{1, 2, 3} {
+				denseSparseAgree(t, tc.name, OrderPreserving{Gamma: gamma}, tc.classes, p)
 			}
 		}
 	}
@@ -323,15 +376,9 @@ func TestOrderPreservingSmallBeamDenseSparseAgree(t *testing.T) {
 		}
 		p := Params{Epsilon: 0.05, Delta: 0.4, MinSupport: 10, VulnSupport: 5}
 		s := OrderPreserving{Gamma: 2, MaxStates: 3}
-		cands := make([][]int, n)
-		maxGrid := 0
-		for i, c := range classes {
-			cands[i] = s.candidates(p, c.Support)
-			if len(cands[i]) > maxGrid {
-				maxGrid = len(cands[i])
-			}
-		}
-		dense := s.biasesDense(classes, p, cands, maxGrid, make([]int, n))
+		a := new(dpArena)
+		cands, maxGrid := s.grids(a, classes, p)
+		dense := s.biasesDense(a, classes, p, cands, maxGrid, make([]int, n))
 		sparse := s.biasesSparse(classes, p, cands, maxGrid, make([]int, n))
 		for i := range dense {
 			if dense[i] != sparse[i] {

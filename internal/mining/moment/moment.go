@@ -26,10 +26,17 @@
 // a newly frequent itemset P+i has frequent P and a frequent sibling
 // parent(P)+i, and the promotion of whichever of the two crossed the
 // threshold last created the candidate node for P+i.
+//
+// Each node keeps its children in a slice sorted by item. A slide walks
+// the tree against the record's sorted items, binary-searching each item
+// among the children past the previous match, so its cost follows the
+// record and the nodes it touches, not the size of the item table; and the
+// snapshot walk reads contiguous slices instead of iterating maps.
 package moment
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/itemset"
@@ -61,10 +68,67 @@ type node struct {
 	support  int
 	frequent bool
 	parent   *node
-	children map[itemset.Item]*node
+	children []edge // sorted by item, no duplicates
+}
+
+// edge is one child link. The child's last item is kept beside the pointer
+// so that searching a node's children reads one contiguous slice.
+type edge struct {
+	item itemset.Item
+	node *node
 }
 
 func (n *node) level1() bool { return n.set.Len() == 1 }
+
+// search returns the position of item it among sorted children and whether
+// a child for it is there.
+func search(kids []edge, it itemset.Item) (int, bool) {
+	lo, hi := 0, len(kids)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if kids[h].item < it {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(kids) && kids[lo].item == it
+}
+
+// child returns n's child for item it, or nil.
+func (n *node) child(it itemset.Item) *node {
+	if i, ok := search(n.children, it); ok {
+		return n.children[i].node
+	}
+	return nil
+}
+
+// visit calls fn for each child of n whose item is in items (sorted
+// ascending), in item order, passing the items after the child's. It
+// merge-walks the two sorted lists; a long run of children between two
+// items (the item table at the root) is skipped by binary search.
+func (n *node) visit(items []itemset.Item, fn func(c *node, rest []itemset.Item)) {
+	const run = 8
+	kids := n.children
+	for idx, it := range items {
+		i := 0
+		for i < len(kids) && i < run && kids[i].item < it {
+			i++
+		}
+		if i == run {
+			j, _ := search(kids[run:], it)
+			i += j
+		}
+		kids = kids[i:]
+		if len(kids) == 0 {
+			return
+		}
+		if kids[0].item == it {
+			fn(kids[0].node, items[idx+1:])
+			kids = kids[1:]
+		}
+	}
+}
 
 // New creates a Miner over a sliding window of the given capacity with the
 // given minimum support C. It panics on non-positive arguments, matching the
@@ -81,10 +145,7 @@ func New(capacity, minSupport int) *Miner {
 		capacity:   capacity,
 		buf:        make([]itemset.Itemset, capacity),
 	}
-	m.root = &node{
-		children: map[itemset.Item]*node{},
-		frequent: true,
-	}
+	m.root = &node{frequent: true}
 	return m
 }
 
@@ -149,8 +210,8 @@ func (m *Miner) FrequentInto(recycled *mining.Result) *mining.Result {
 	}
 	var walk func(n *node)
 	walk = func(n *node) {
-		for _, c := range n.children {
-			if c.frequent {
+		for _, e := range n.children {
+			if c := e.node; c.frequent {
 				out = append(out, mining.FrequentItemset{Set: c.set, Support: c.support})
 				walk(c)
 			}
@@ -168,40 +229,23 @@ func (m *Miner) Closed() *mining.Result {
 
 // add integrates the record stored at the given window slot.
 func (m *Miner) add(rec itemset.Itemset, slot int) {
-	// Ensure level-1 nodes exist for every item of the record.
-	for _, it := range rec.Items() {
-		if _, ok := m.root.children[it]; !ok {
-			m.root.children[it] = &node{
-				set:      itemset.New(it),
-				last:     it,
-				bm:       bitset.New(m.capacity),
-				parent:   m.root,
-				children: map[itemset.Item]*node{},
-			}
-		}
-	}
+	m.ensureItems(rec.Items())
 
 	// Walk every tracked subset of rec, setting the slot bit and counting.
 	var promoted []*node
-	var descend func(n *node, items []itemset.Item)
-	descend = func(n *node, items []itemset.Item) {
-		for idx, it := range items {
-			c, ok := n.children[it]
-			if !ok {
-				continue
-			}
-			if c.bm != nil {
-				c.bm.Set(slot)
-			}
-			c.support++
-			if !c.frequent && c.support >= m.minSupport {
-				c.frequent = true
-				promoted = append(promoted, c)
-			}
-			descend(c, items[idx+1:])
+	var descend func(c *node, rest []itemset.Item)
+	descend = func(c *node, rest []itemset.Item) {
+		if c.bm != nil {
+			c.bm.Set(slot)
 		}
+		c.support++
+		if !c.frequent && c.support >= m.minSupport {
+			c.frequent = true
+			promoted = append(promoted, c)
+		}
+		c.visit(rest, descend)
 	}
-	descend(m.root, rec.Items())
+	m.root.visit(rec.Items(), descend)
 
 	// Promotions run after the walk so every bitmap they consult already
 	// reflects the added record.
@@ -209,10 +253,25 @@ func (m *Miner) add(rec itemset.Itemset, slot int) {
 		n := promoted[0]
 		promoted = promoted[1:]
 		if n.bm == nil {
-			itemNode := m.root.children[n.last]
-			n.bm = n.parent.bm.And(itemNode.bm)
+			n.bm = n.parent.bm.And(m.root.child(n.last).bm)
 		}
 		promoted = append(promoted, m.expand(n)...)
+	}
+}
+
+// ensureItems makes sure a level-1 node exists for every item of a
+// record. New items are rare once the window has filled, so each one is
+// inserted in place.
+func (m *Miner) ensureItems(items []itemset.Item) {
+	for _, it := range items {
+		if at, ok := search(m.root.children, it); !ok {
+			m.root.children = slices.Insert(m.root.children, at, edge{it, &node{
+				set:    itemset.New(it),
+				last:   it,
+				bm:     bitset.New(m.capacity),
+				parent: m.root,
+			}})
+		}
 	}
 }
 
@@ -222,13 +281,14 @@ func (m *Miner) add(rec itemset.Itemset, slot int) {
 // its bitmap already materialized.
 func (m *Miner) expand(n *node) []*node {
 	var cascades []*node
-	for it, sib := range n.parent.children {
+	for _, e := range n.parent.children {
+		sib := e.node
 		if sib == n || !sib.frequent {
 			continue
 		}
 		var c *node
-		if it > n.last {
-			c = m.createChild(n, it)
+		if e.item > n.last {
+			c = m.createChild(n, e.item)
 		} else {
 			c = m.createChild(sib, n.last)
 		}
@@ -245,21 +305,21 @@ func (m *Miner) expand(n *node) []*node {
 // It returns the node if it was both created and immediately frequent, nil
 // otherwise.
 func (m *Miner) createChild(parent *node, it itemset.Item) *node {
-	if _, ok := parent.children[it]; ok {
+	at, ok := search(parent.children, it)
+	if ok {
 		return nil
 	}
-	itemNode, ok := m.root.children[it]
-	if !ok {
+	itemNode := m.root.child(it)
+	if itemNode == nil {
 		return nil // the item has no occurrences in the window at all
 	}
 	c := &node{
-		set:      parent.set.With(it),
-		last:     it,
-		support:  parent.bm.AndCount(itemNode.bm),
-		parent:   parent,
-		children: map[itemset.Item]*node{},
+		set:     parent.set.With(it),
+		last:    it,
+		support: parent.bm.AndCount(itemNode.bm),
+		parent:  parent,
 	}
-	parent.children[it] = c
+	parent.children = slices.Insert(parent.children, at, edge{it, c})
 	if c.support >= m.minSupport {
 		c.frequent = true
 		c.bm = parent.bm.And(itemNode.bm)
@@ -271,25 +331,19 @@ func (m *Miner) createChild(parent *node, it itemset.Item) *node {
 // remove retracts the record stored at the given window slot.
 func (m *Miner) remove(rec itemset.Itemset, slot int) {
 	var demoted []*node
-	var descend func(n *node, items []itemset.Item)
-	descend = func(n *node, items []itemset.Item) {
-		for idx, it := range items {
-			c, ok := n.children[it]
-			if !ok {
-				continue
-			}
-			if c.bm != nil {
-				c.bm.Clear(slot)
-			}
-			c.support--
-			if c.frequent && c.support < m.minSupport {
-				c.frequent = false
-				demoted = append(demoted, c)
-			}
-			descend(c, items[idx+1:])
+	var descend func(c *node, rest []itemset.Item)
+	descend = func(c *node, rest []itemset.Item) {
+		if c.bm != nil {
+			c.bm.Clear(slot)
 		}
+		c.support--
+		if c.frequent && c.support < m.minSupport {
+			c.frequent = false
+			demoted = append(demoted, c)
+		}
+		c.visit(rest, descend)
 	}
-	descend(m.root, rec.Items())
+	m.root.visit(rec.Items(), descend)
 
 	// A demoted node keeps its own slot in the tree (it is now border) but
 	// loses its subtree — every tracked descendant has support at most the
@@ -297,17 +351,19 @@ func (m *Miner) remove(rec itemset.Itemset, slot int) {
 	// rebuilt from the parent if it is ever promoted again. Level-1 nodes
 	// keep their bitmaps: they are the basis for every rebuild.
 	for _, n := range demoted {
-		n.children = map[itemset.Item]*node{}
+		n.children = nil
 		if !n.level1() {
 			n.bm = nil
 		}
 	}
 
 	// Drop level-1 nodes that vanished from the window entirely so the item
-	// table cannot grow without bound on long streams.
-	for it, c := range m.root.children {
-		if c.support == 0 {
-			delete(m.root.children, it)
+	// table cannot grow without bound on long streams. Only the removed
+	// record's items can have reached zero.
+	for _, it := range rec.Items() {
+		if c := m.root.child(it); c != nil && c.support == 0 {
+			m.root.children = slices.DeleteFunc(m.root.children, func(e edge) bool { return e.node.support == 0 })
+			break
 		}
 	}
 }
@@ -318,9 +374,9 @@ func (m *Miner) nodeCount() int {
 	n := 0
 	var walk func(nd *node)
 	walk = func(nd *node) {
-		for _, c := range nd.children {
+		for _, e := range nd.children {
 			n++
-			walk(c)
+			walk(e.node)
 		}
 	}
 	walk(m.root)

@@ -10,13 +10,27 @@ import (
 )
 
 // checkInvariants verifies the structural invariants of the enumeration
-// tree against the materialized window.
+// tree against the materialized window: exact supports, frequent flags and
+// bitmaps, border nodes as leaves, children sorted by item without
+// duplicates, and no level-1 node left at zero support (an item that
+// leaves the window must leave the item table).
 func checkInvariants(t *testing.T, m *Miner) {
 	t.Helper()
 	db := m.Database()
 	var walk func(n *node)
 	walk = func(n *node) {
-		for _, c := range n.children {
+		for i, e := range n.children {
+			c := e.node
+			if i > 0 && e.item <= n.children[i-1].item {
+				t.Fatalf("children of %v not strictly sorted: %v after %v",
+					n.set, c.set, n.children[i-1].node.set)
+			}
+			if c.parent != n || c.last != e.item || e.item != c.set.At(c.set.Len()-1) {
+				t.Fatalf("node %v misplaced under %v", c.set, n.set)
+			}
+			if n == m.root && c.support == 0 {
+				t.Fatalf("level-1 node %v tracked at zero support", c.set)
+			}
 			truth := db.Support(c.set)
 			if c.support != truth {
 				t.Fatalf("node %v support %d, window says %d", c.set, c.support, truth)
@@ -155,7 +169,7 @@ func TestMinerEvictionToEmptyItem(t *testing.T) {
 	m.Push(itemset.New(7))
 	m.Push(itemset.New(1))
 	m.Push(itemset.New(1)) // evicts {7}
-	if _, ok := m.root.children[7]; ok {
+	if m.root.child(7) != nil {
 		t.Error("item 7 still tracked after leaving the window")
 	}
 	res := m.Frequent()
@@ -258,6 +272,7 @@ func TestMinerLongStreamStability(t *testing.T) {
 		if n := m.nodeCount(); n > maxNodes {
 			maxNodes = n
 		}
+		checkInvariants(t, m)
 	}
 	final := m.nodeCount()
 	if final == 0 {
@@ -323,10 +338,12 @@ func TestMinerAlphabetTurnover(t *testing.T) {
 	m := New(8, 3)
 	for i := 0; i < 8; i++ {
 		m.Push(itemset.New(0, 1, 2))
+		checkInvariants(t, m)
 	}
 	before := m.nodeCount()
 	for i := 0; i < 8; i++ {
 		m.Push(itemset.New(10, 11))
+		checkInvariants(t, m)
 	}
 	res := m.Frequent()
 	if _, ok := res.Support(itemset.New(0)); ok {
@@ -335,7 +352,7 @@ func TestMinerAlphabetTurnover(t *testing.T) {
 	if sup, ok := res.Support(itemset.New(10, 11)); !ok || sup != 8 {
 		t.Errorf("new alphabet support = %d,%v", sup, ok)
 	}
-	if _, ok := m.root.children[0]; ok {
+	if m.root.child(0) != nil {
 		t.Error("stale level-1 node survived")
 	}
 	after := m.nodeCount()
