@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -170,7 +171,7 @@ func benchEndToEnd(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		windows := 0
-		if err := p.Run(records, func(pipeline.Window) error { windows++; return nil }); err != nil {
+		if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(pipeline.Window) error { windows++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 		if windows == 0 {

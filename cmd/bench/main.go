@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -150,7 +151,7 @@ func benchPublish(records []itemset.Itemset, workers, fullEvery int) func(b *tes
 				b.Fatal(err)
 			}
 			published := 0
-			if err := p.Run(records, func(pipeline.Window) error {
+			if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(pipeline.Window) error {
 				published++
 				return nil
 			}); err != nil {

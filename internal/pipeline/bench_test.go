@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -18,7 +19,7 @@ func benchRun(b *testing.B, workers int, records []itemset.Itemset) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		windows := 0
-		if err := p.Run(records, func(pipeline.Window) error {
+		if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(pipeline.Window) error {
 			windows++
 			return nil
 		}); err != nil {
@@ -66,7 +67,7 @@ func benchCheckpointed(b *testing.B, fullEvery int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := p.Run(records, func(pipeline.Window) error { return nil }); err != nil {
+		if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(pipeline.Window) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

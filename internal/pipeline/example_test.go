@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -26,7 +27,7 @@ func Example() {
 		panic(err)
 	}
 	records := data.WebViewLike(1).Generate(500)
-	err = p.Run(records, func(w pipeline.Window) error {
+	_, err = p.RunContext(context.Background(), pipeline.SliceSource(records), func(w pipeline.Window) error {
 		top := w.Output.Items[0]
 		fmt.Printf("window ending at record %d: %d itemsets, top %v with sanitized support %d\n",
 			w.Position, w.Output.Len(), top.Set, top.Support)
@@ -62,7 +63,7 @@ func Example_telemetry() {
 		panic(err)
 	}
 	records := data.WebViewLike(1).Generate(500)
-	if err := p.Run(records, func(pipeline.Window) error { return nil }); err != nil {
+	if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(pipeline.Window) error { return nil }); err != nil {
 		panic(err)
 	}
 

@@ -46,7 +46,7 @@ func renderRun(t *testing.T, cfg Config, records []itemset.Itemset) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err = p.Run(records, func(w Window) error {
+	_, err = p.RunContext(context.Background(), SliceSource(records), func(w Window) error {
 		fmt.Fprintf(&b, "== %d\n", w.Position)
 		for _, it := range w.Output.Items {
 			fmt.Fprintf(&b, "%s %d\n", it.Set.Key(), it.Support)

@@ -326,15 +326,10 @@ var ErrShortStream = errors.New("pipeline: stream shorter than the window size")
 // errors.Is(err, ErrShortStream).
 type shortStreamError struct {
 	records, window int
-	ended           bool // true: stream ended mid-fill; false: rejected up front
 }
 
 func (e *shortStreamError) Error() string {
-	if e.ended {
-		return fmt.Sprintf("pipeline: stream ended after %d records, fewer than the window size %d",
-			e.records, e.window)
-	}
-	return fmt.Sprintf("pipeline: stream has %d records, fewer than the window size %d",
+	return fmt.Sprintf("pipeline: stream ended after %d records, fewer than the window size %d",
 		e.records, e.window)
 }
 
@@ -353,18 +348,6 @@ type minedWindow struct {
 	delta *checkpoint.Delta
 	// tr is the window's flight-recorder trace (see Window.tr).
 	tr *trace.Window
-}
-
-// Run streams records through the pipeline and calls emit once per published
-// window, in stream order. It returns the first error from any stage
-// (including emit, which cancels the upstream stages). The number of records
-// must be at least WindowSize.
-func (p *Pipeline) Run(records []itemset.Itemset, emit func(Window) error) error {
-	if len(records) < p.cfg.WindowSize {
-		return &shortStreamError{records: len(records), window: p.cfg.WindowSize}
-	}
-	_, err := p.RunContext(context.Background(), SliceSource(records), emit)
-	return err
 }
 
 // RunContext streams records from src through the supervised pipeline and
@@ -574,7 +557,7 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		return
 	}
 	if !stream.Ready() {
-		r.fail(&shortStreamError{records: pos, window: r.cfg.WindowSize, ended: true})
+		r.fail(&shortStreamError{records: pos, window: r.cfg.WindowSize})
 		return
 	}
 	if lastPub != pos {

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -33,7 +34,7 @@ func collect(t *testing.T, cfg pipeline.Config, records []itemset.Itemset) []pip
 		t.Fatal(err)
 	}
 	var out []pipeline.Window
-	if err := p.Run(records, func(w pipeline.Window) error {
+	if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(w pipeline.Window) error {
 		out = append(out, w)
 		return nil
 	}); err != nil {
@@ -199,7 +200,7 @@ func TestRunErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Run(testRecords(t, 100), func(pipeline.Window) error { return nil }); err == nil {
+	if _, err := p.RunContext(context.Background(), pipeline.SliceSource(testRecords(t, 100)), func(pipeline.Window) error { return nil }); err == nil {
 		t.Error("short stream accepted")
 	}
 
@@ -210,7 +211,7 @@ func TestRunErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		calls := 0
-		err = p.Run(testRecords(t, 900), func(pipeline.Window) error {
+		_, err = p.RunContext(context.Background(), pipeline.SliceSource(testRecords(t, 900)), func(pipeline.Window) error {
 			calls++
 			if calls == 2 {
 				return sentinel
@@ -234,7 +235,7 @@ func TestRunIsRepeatable(t *testing.T) {
 	}
 	run := func() []pipeline.Window {
 		var out []pipeline.Window
-		if err := p.Run(records, func(w pipeline.Window) error {
+		if _, err := p.RunContext(context.Background(), pipeline.SliceSource(records), func(w pipeline.Window) error {
 			out = append(out, w)
 			return nil
 		}); err != nil {

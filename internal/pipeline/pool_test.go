@@ -7,6 +7,7 @@ package pipeline
 // a later window.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestPooledPipelineRetainedWindows(t *testing.T) {
 			}
 			var retained []Window
 			var atDelivery []string
-			err = p.Run(records, func(w Window) error {
+			_, err = p.RunContext(context.Background(), SliceSource(records), func(w Window) error {
 				retained = append(retained, w)
 				atDelivery = append(atDelivery, renderPooledWindow(w))
 				return nil

@@ -108,7 +108,7 @@ func TestTraceRetrySpans(t *testing.T) {
 	records := data.WebViewLike(3).Generate(400)
 	emitFails := 2
 	firstEmit := true
-	err = p.Run(records, func(w Window) error {
+	_, err = p.RunContext(context.Background(), SliceSource(records), func(w Window) error {
 		if firstEmit && emitFails > 0 {
 			emitFails--
 			return Transient(fmt.Errorf("synthetic sink hiccup"))
@@ -222,7 +222,7 @@ func TestTraceFailedWindowCommitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := data.WebViewLike(3).Generate(400)
-	err = p.Run(records, func(w Window) error {
+	_, err = p.RunContext(context.Background(), SliceSource(records), func(w Window) error {
 		return Transient(fmt.Errorf("sink down"))
 	})
 	if err == nil {
