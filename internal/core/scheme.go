@@ -177,7 +177,7 @@ func (s OrderPreserving) appendCandidates(dst []int, p Params, t int) []int {
 const denseStateLimit = 4096
 
 // dpArena is the scratch of one bias optimization: the candidate grids,
-// the backtracking chain, two cost tiers and the per-class tables. Arenas
+// the backtracking chain, two cost tiers and per-candidate scratch. Arenas
 // are pooled, so a steady-state publish allocates none of it, and every
 // concurrent Biases call (butterflyd runs one publisher per stream) holds
 // its own.
@@ -286,9 +286,10 @@ func fillNoState(costs []int64) {
 //   - The beam and the final pick break ties by the smaller key, as the
 //     sparse path does.
 //
-// Per class, this costs O(maxGrid^γ) for the prefix minima and the state
-// updates plus the short scans, against O(maxGrid^(γ+1)·γ) for visiting
-// every (predecessor, candidate) pair. All scratch comes from the arena.
+// Per class, this costs O(maxGrid^γ·γ) for the prefix minima, the hoisted
+// terms and the state updates, plus the short scans, against
+// O(maxGrid^(γ+1)·γ) for visiting every (predecessor, candidate) pair. All
+// scratch comes from the arena.
 func (s OrderPreserving) biasesDense(a *dpArena, classes []fec.Class, p Params, cands [][]int, maxGrid int, out []int) []int {
 	n := len(classes)
 	gamma := s.gamma()

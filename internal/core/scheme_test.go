@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/fec"
@@ -360,6 +361,33 @@ func TestOrderPreservingDenseSparseAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOrderPreservingConcurrentCallsAgree runs the DP on every generator
+// ladder from several goroutines at once: each call must take its own
+// pooled arena and return what a lone call returns.
+func TestOrderPreservingConcurrentCallsAgree(t *testing.T) {
+	ladders := generatorLadders(t)
+	s := OrderPreserving{}
+	want := make([][]int, len(ladders))
+	for i, l := range ladders {
+		want[i] = s.Biases(l.classes, l.params)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*len(ladders); k++ {
+				i := (g + k) % len(ladders)
+				if got := s.Biases(ladders[i].classes, ladders[i].params); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, %s: %v, alone %v", g, ladders[i].name, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestOrderPreservingSmallBeamDenseSparseAgree exercises the beam bound in

@@ -27,11 +27,14 @@
 // parent(P)+i, and the promotion of whichever of the two crossed the
 // threshold last created the candidate node for P+i.
 //
-// Each node keeps its children in a slice sorted by item. A slide walks
-// the tree against the record's sorted items, binary-searching each item
-// among the children past the previous match, so its cost follows the
-// record and the nodes it touches, not the size of the item table; and the
-// snapshot walk reads contiguous slices instead of iterating maps.
+// Each node keeps its children in a slice sorted by item. A slide
+// merge-walks each visited node's children against the record's sorted
+// items, skipping long runs of children (the item table at the root) by
+// binary search, and only the evicted record's items are checked for
+// leaving the item table. So a slide costs time proportional to the
+// record and the nodes it touches, as in Moment, not to the size of the
+// item table; and the snapshot walk reads contiguous slices instead of
+// iterating maps.
 package moment
 
 import (
