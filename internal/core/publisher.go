@@ -225,7 +225,6 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 		return nil, err
 	}
 	t0 = time.Now()
-	defer func() { pub.perturbDur += time.Since(t0) }()
 	alpha := pub.params.Alpha()
 	half := alpha / 2
 
@@ -240,6 +239,7 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 		// Roll back so a retry redraws the identical perturbation.
 		*pub.src = savedSrc
 		pub.window--
+		pub.perturbDur += time.Since(t0)
 		return nil, err
 	}
 	slices.SortFunc(out.Items, func(a, b PublishedItemset) int {
@@ -258,7 +258,9 @@ func (pub *Publisher) Publish(res *mining.Result, windowSize int) (*Output, erro
 	// hit/miss tally. No-ops without a registry / trace window.
 	pub.recordCache(hits, misses)
 	pub.recordPosture(classes, out)
-	cs := pub.tr.Add(trace.KindCache, t0, time.Since(t0))
+	perturbTook := time.Since(t0)
+	pub.perturbDur += perturbTook
+	cs := pub.tr.Add(trace.KindCache, t0, perturbTook)
 	cs.Attr(trace.AttrCacheHits, int64(hits))
 	cs.Attr(trace.AttrCacheMisses, int64(misses))
 	return out, nil

@@ -90,5 +90,6 @@ func Example_telemetry() {
 	// butterfly_stage_seconds{stage="emit"} observations: 3
 	// butterfly_stage_seconds{stage="mine"} observations: 3
 	// butterfly_stage_seconds{stage="perturb"} observations: 3
+	// butterfly_stage_seconds{stage="source"} observations: 3
 	// avg_prig >= delta: true
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Pipeline metric names (see OBSERVABILITY.md for the full reference).
@@ -57,10 +58,10 @@ type pipeMetrics struct {
 	deltaSaves  *telemetry.Counter
 	chainFrames *telemetry.Gauge
 
-	mineDur    *telemetry.Histogram
-	perturbDur *telemetry.Histogram
-	emitDur    *telemetry.Histogram
-	ckptSave   *telemetry.Histogram
+	// intervals holds the histogram each timed span kind feeds: one
+	// butterfly_stage_seconds series per stage, and the checkpoint-save
+	// latency (see runState.observe).
+	intervals  map[trace.Kind]*telemetry.Histogram
 	fullBytes  *telemetry.Histogram
 	deltaBytes *telemetry.Histogram
 	resumeDur  *telemetry.Gauge
@@ -74,10 +75,14 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 	if reg == nil {
 		return nil
 	}
-	stage := func(name string) *telemetry.Histogram {
-		return reg.Histogram(MetricStageSeconds,
-			"Per-window wall time of each pipeline stage (mine includes record ingest).",
-			nil, telemetry.Labels{"stage": name})
+	intervals := map[trace.Kind]*telemetry.Histogram{
+		trace.KindCheckpointSave: reg.Histogram(MetricCkptSave,
+			"Checkpoint save latency (encode + fsync + rename + prune).", nil, nil),
+	}
+	for _, k := range []trace.Kind{trace.KindSource, trace.KindMine, trace.KindPerturb, trace.KindEmit} {
+		intervals[k] = reg.Histogram(MetricStageSeconds,
+			"Per-window wall time of each pipeline stage (source: inside the record source; mine: slide and snapshot compute, source excluded).",
+			nil, telemetry.Labels{"stage": k.String()})
 	}
 	return &pipeMetrics{
 		records: reg.Counter(MetricRecords,
@@ -106,11 +111,7 @@ func newPipeMetrics(reg *telemetry.Registry) *pipeMetrics {
 			telemetry.Labels{"kind": "delta"}),
 		chainFrames: reg.Gauge(MetricCkptChain,
 			"Delta frames in the current chain since its anchor full snapshot (0 right after a full save).", nil),
-		mineDur:    stage("mine"),
-		perturbDur: stage("perturb"),
-		emitDur:    stage("emit"),
-		ckptSave: reg.Histogram(MetricCkptSave,
-			"Checkpoint save latency (encode + fsync + rename + prune).", nil, nil),
+		intervals: intervals,
 		fullBytes: reg.Histogram(MetricCkptBytes,
 			"Bytes written per persisted checkpoint generation, by kind.",
 			ckptByteBuckets, telemetry.Labels{"kind": "full"}),
@@ -171,10 +172,9 @@ func (m *pipeMetrics) addWatchdogTrip() {
 // split is visible at a glance.
 var ckptByteBuckets = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
-func (m *pipeMetrics) addCheckpoint(took time.Duration) {
+func (m *pipeMetrics) addCheckpoint() {
 	if m != nil {
 		m.checkpoints.Inc()
-		m.ckptSave.Observe(took.Seconds())
 	}
 }
 
@@ -194,22 +194,11 @@ func (m *pipeMetrics) addCheckpointSave(full bool, bytes, chainFrames int) {
 	m.chainFrames.Set(float64(chainFrames))
 }
 
-func (m *pipeMetrics) observeStage(h func(*pipeMetrics) *telemetry.Histogram, took time.Duration) {
+// observe records one measured interval into kind's histogram.
+func (m *pipeMetrics) observe(kind trace.Kind, took time.Duration) {
 	if m != nil {
-		h(m).Observe(took.Seconds())
+		m.intervals[kind].Observe(took.Seconds())
 	}
-}
-
-func (m *pipeMetrics) observeMine(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.mineDur }, took)
-}
-
-func (m *pipeMetrics) observePerturb(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.perturbDur }, took)
-}
-
-func (m *pipeMetrics) observeEmit(took time.Duration) {
-	m.observeStage(func(m *pipeMetrics) *telemetry.Histogram { return m.emitDur }, took)
 }
 
 func (m *pipeMetrics) observeResume(took time.Duration) {

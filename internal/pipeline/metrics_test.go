@@ -12,11 +12,13 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/itemset"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // funcSource adapts a closure to the RecordSource interface (test-only).
@@ -217,3 +219,79 @@ func TestTelemetryFaultCounters(t *testing.T) {
 // instruments, so it is the one place the FULL metric namespace can be
 // assembled (this package cannot import internal/server without a cycle).
 // The pipeline side of the registration is exported as RegisterMetrics.
+
+// TestTelemetrySourceStageSplit pins what the mine stage means: a source
+// that stalls once per window must show the stall under stage="source" in
+// both the histogram and the flight recorder, and the mine share — the
+// window's slide and snapshot compute — must exclude it.
+func TestTelemetrySourceStageSplit(t *testing.T) {
+	const stall = 40 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	tr := trace.New(trace.Options{Windows: 32})
+	cfg := telemetryTestConfig(1, reg)
+	cfg.Trace = tr
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := data.WebViewLike(3).Generate(600)
+	i := 0
+	src := funcSource(func() (itemset.Itemset, error) {
+		if i >= len(records) {
+			return itemset.Itemset{}, io.EOF
+		}
+		// Stall on the first record of each window's slide: positions 1
+		// (the 300-record fill), 301, 401 and 501.
+		if i == 0 || (i >= cfg.WindowSize && i%cfg.PublishEvery == 0) {
+			time.Sleep(stall)
+		}
+		i++
+		return records[i-1], nil
+	})
+	rep, err := p.RunContext(context.Background(), src, func(Window) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const windows = 4
+	if rep.Published != windows {
+		t.Fatalf("published %d windows, want %d", rep.Published, windows)
+	}
+	stalled := (stall * windows).Seconds()
+
+	sums := map[string]float64{}
+	for _, f := range reg.Snapshot() {
+		if f.Name != MetricStageSeconds {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Count != windows {
+				t.Errorf("%s%s observed %d windows, want %d", f.Name, s.Labels, s.Count, windows)
+			}
+			sums[s.Labels] = s.Sum
+		}
+	}
+	t.Logf("stage sums: source %.3fs, mine %.3fs (stalled %.3fs)", sums[`{stage="source"}`], sums[`{stage="mine"}`], stalled)
+	if got := sums[`{stage="source"}`]; got < stalled {
+		t.Errorf(`stage="source" sums %.3fs, want at least the %.3fs the source stalled`, got, stalled)
+	}
+	if got := sums[`{stage="mine"}`]; got >= stalled {
+		t.Errorf(`stage="mine" sums %.3fs, want less than the %.3fs stall it must exclude`, got, stalled)
+	}
+
+	spans := map[string]time.Duration{}
+	recs := tr.Snapshot()
+	if len(recs) != windows {
+		t.Fatalf("flight recorder holds %d windows, want %d", len(recs), windows)
+	}
+	for _, rec := range recs {
+		for _, sp := range rec.Spans {
+			spans[sp.Name] += sp.Dur
+		}
+	}
+	if got := spans["source"].Seconds(); got < stalled {
+		t.Errorf("source spans sum %.3fs, want at least %.3fs", got, stalled)
+	}
+	if got := spans["mine"].Seconds(); got >= stalled {
+		t.Errorf("mine spans sum %.3fs, want less than %.3fs", got, stalled)
+	}
+}

@@ -481,23 +481,50 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		lastPub = skip
 		published = rs.Published
 	}
-	windowStart := time.Now() // start of the current window's ingest+mine span
-	tw := r.tracer.StartWindow()
-	var srcDur time.Duration // time spent inside the source this window
-	var srcRecords int64     // well-formed records ingested this window
+	// The current window's ingest, timed on this goroutine: it opens at the
+	// first source read after the previous hand-off (a zero start means not
+	// yet opened), srcDur sums the time inside the source, and the rest of
+	// the window's interval — slide and snapshot — is the mine share.
+	var (
+		start      time.Time
+		tw         *trace.Window
+		srcDur     time.Duration
+		srcRecords int64 // well-formed records ingested this window
+	)
+	// seal publishes the window ending at pos: it materializes the snapshot,
+	// records the source and mine shares of the window's interval (which
+	// ends BEFORE the possibly backpressured hand-off to perturb, so neither
+	// share counts downstream congestion), and hands the snapshot on. It
+	// reports false when the run was canceled.
+	seal := func(final bool) bool {
+		published++
+		m := r.newMined(stream, pos, published, final)
+		end := time.Now()
+		tw.SetID(uint64(pos))
+		tw.Attr(trace.AttrWindow, int64(pos))
+		tw.Attr(trace.AttrRecords, srcRecords)
+		if bad := r.badCount(); bad > 0 {
+			tw.Attr(trace.AttrBadRecords, int64(bad))
+		}
+		r.observe(trace.KindSource, tw, start, srcDur).Attr(trace.AttrRecords, srcRecords)
+		r.observe(trace.KindMine, tw, start.Add(srcDur), end.Sub(start)-srcDur).
+			Attr(trace.AttrItemsets, int64(m.res.Len()))
+		m.tr = tw
+		start, tw, srcDur, srcRecords = time.Time{}, nil, 0, 0
+		return sendOrDone(r, mined, m)
+	}
 	for {
 		if r.ctx.Err() != nil {
 			return
 		}
-		var rec itemset.Itemset
-		var err error
-		if tw != nil {
-			s0 := time.Now()
-			rec, err = r.nextRecord(src)
-			srcDur += time.Since(s0)
-		} else {
-			rec, err = r.nextRecord(src)
+		t0 := time.Now()
+		if start.IsZero() {
+			start = t0
+			tw = r.tracer.StartRoot(trace.KindWindow, start)
 		}
+		rec, err := r.nextRecord(src)
+		t1 := time.Now()
+		srcDur += t1.Sub(t0)
 		if err == io.EOF {
 			break
 		}
@@ -510,11 +537,11 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		srcRecords++
 		if pos <= skip {
 			if pos == skip {
-				// Fast-forward complete: the resume gauge covers restore
-				// plus the replayed prefix, and the first traced window
-				// carries the matching resume span.
-				r.metrics.observeResume(time.Since(r.resumeStart))
-				tw.Add(trace.KindResume, r.resumeStart, time.Since(r.resumeStart))
+				// Fast-forward complete: the resume gauge and the first
+				// window's resume span cover restore plus the replayed prefix.
+				d := t1.Sub(r.resumeStart)
+				r.metrics.observeResume(d)
+				tw.Add(trace.KindResume, r.resumeStart, d)
 			}
 			continue
 		}
@@ -532,20 +559,9 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		if !(r.cfg.PublishEvery > 0 && (sinceFull-1)%r.cfg.PublishEvery == 0) {
 			continue
 		}
-		published++
-		m := r.newMined(stream, pos, published, false)
-		// The mine-stage observation ends when the snapshot is materialized,
-		// BEFORE the (possibly backpressured) hand-off to perturb — it
-		// measures mining work, not downstream congestion.
-		mineDur := time.Since(windowStart)
-		r.metrics.observeMine(mineDur)
-		m.tr = r.finishMineSpans(tw, windowStart, mineDur, srcDur, srcRecords, pos, m.res.Len())
-		if !sendOrDone(r, mined, m) {
+		if !seal(false) {
 			return
 		}
-		windowStart = time.Now()
-		tw = r.tracer.StartWindow()
-		srcDur, srcRecords = 0, 0
 		lastPub = pos
 	}
 	if r.ctx.Err() != nil {
@@ -561,16 +577,21 @@ func (r *runState) mineLoop(stream *core.Stream, src RecordSource, mined chan<- 
 		return
 	}
 	if lastPub != pos {
-		published++
 		// The final window always checkpoints (when checkpointing is on):
 		// this is the graceful-drain snapshot a restarted service resumes
 		// from.
-		m := r.newMined(stream, pos, published, true)
-		mineDur := time.Since(windowStart)
-		r.metrics.observeMine(mineDur)
-		m.tr = r.finishMineSpans(tw, windowStart, mineDur, srcDur, srcRecords, pos, m.res.Len())
-		sendOrDone(r, mined, m)
+		seal(true)
 	}
+}
+
+// observe records one measured interval of a window: into kind's histogram
+// (butterfly_stage_seconds{stage}, or butterfly_checkpoint_save_seconds for
+// checkpoint.save) and as a span on the window's trace. Both sinks are
+// nil-safe, and both see the same reading, so /metrics and the flight
+// recorder cannot disagree about a stage.
+func (r *runState) observe(kind trace.Kind, tw *trace.Window, t0 time.Time, d time.Duration) trace.SpanRef {
+	r.metrics.observe(kind, d)
+	return tw.Add(kind, t0, d)
 }
 
 // newMined packages one mining snapshot, attaching the partially-filled
@@ -643,60 +664,38 @@ func (r *runState) pushAppended(rec itemset.Itemset) {
 // nextRecord pulls one record from the source under supervision: recovered
 // source panics and transient errors are retried with backoff (sharing the
 // EmitRetries budget, counted per record), malformed records are skipped
-// against the bad-record budget, and anything else is fatal.
+// against the bad-record budget, and anything else is fatal. The end of the
+// stream is io.EOF, unwrapped.
 func (r *runState) nextRecord(src RecordSource) (itemset.Itemset, error) {
-	var rec itemset.Itemset
-	attempts := 0
-	for {
-		err := safeCall(func() error {
-			var e error
-			rec, e = src.Next()
-			return e
-		})
-		switch {
-		case err == nil:
-			return rec, nil
-		case errors.Is(err, io.EOF):
-			return itemset.Itemset{}, io.EOF
-		}
-		var pe *data.ParseError
-		if errors.As(err, &pe) {
+	var (
+		rec  itemset.Itemset
+		stop error // io.EOF or the exhausted bad-record budget: no retry, no wrapping
+	)
+	err := r.withRetries("source", "record source", nil, time.Time{}, func() error {
+		for {
+			var err error
+			if rec, err = src.Next(); err == nil {
+				return nil
+			}
+			if errors.Is(err, io.EOF) {
+				stop = io.EOF
+				return nil
+			}
+			var pe *data.ParseError
+			if !errors.As(err, &pe) {
+				return err
+			}
 			if !r.recordBad(BadRecord{Line: pe.Line, Token: pe.Token, Err: pe.Err}) {
-				return itemset.Itemset{}, fmt.Errorf(
-					"pipeline: bad-record budget of %d exhausted (%d malformed records; last: %w)",
+				stop = fmt.Errorf("pipeline: bad-record budget of %d exhausted (%d malformed records; last: %w)",
 					r.cfg.MaxBadRecords, r.badCount(), pe)
-			}
-			continue
-		}
-		var panicked *panicError
-		if errors.As(err, &panicked) {
-			r.addPanic()
-		}
-		if !IsTransient(err) {
-			return itemset.Itemset{}, fmt.Errorf("pipeline: record source: %w", err)
-		}
-		if attempts >= r.cfg.EmitRetries {
-			return itemset.Itemset{}, fmt.Errorf(
-				"pipeline: record source failed after %d retries: %w", attempts, err)
-		}
-		attempts++
-		r.addRetry("source")
-		backoff := r.cfg.EmitBackoff
-		if backoff <= 0 {
-			backoff = defaultBackoff
-		}
-		for i := 1; i < attempts; i++ {
-			if backoff *= 2; backoff >= maxBackoff {
-				backoff = maxBackoff
-				break
+				return nil
 			}
 		}
-		select {
-		case <-time.After(backoff):
-		case <-r.ctx.Done():
-			return itemset.Itemset{}, r.ctx.Err()
-		}
+	})
+	if stop != nil {
+		return itemset.Itemset{}, stop
 	}
+	return rec, err
 }
 
 // perturbLoop is stage 2: sanitize each snapshot. Publish is retry-safe on
@@ -722,13 +721,12 @@ func (r *runState) perturbLoop(stream *core.Stream, cfg Config, mined <-chan min
 			out, e = stream.Publisher().Publish(m.res, cfg.WindowSize)
 			return e
 		})
-		perturbDur := time.Since(t0)
-		r.metrics.observePerturb(perturbDur)
-		m.tr.Add(trace.KindPerturb, t0, perturbDur)
+		t1 := time.Now()
+		r.observe(trace.KindPerturb, m.tr, t0, t1.Sub(t0))
 		if err != nil {
 			// The failed window still lands in the flight recorder — the
 			// abort-path trace dump should show what was in flight.
-			r.tracer.Commit(m.tr)
+			r.tracer.Commit(m.tr, t1)
 			r.fail(fmt.Errorf("pipeline: perturbing window at position %d: %w", m.position, err))
 			return
 		}
@@ -772,17 +770,16 @@ func (r *runState) emitLoop(outs <-chan Window, emit func(Window) error) {
 		t0 := time.Now()
 		var attempts int64
 		err := r.watchdog("emission", w.Position, func() error {
-			return r.withRetries(fmt.Sprintf("emitting window at position %d", w.Position), w.tr,
+			return r.withRetries("emit", fmt.Sprintf("emitting window at position %d", w.Position), w.tr, t0,
 				func() error { attempts++; return emit(w) })
 		})
-		emitDur := time.Since(t0)
-		r.metrics.observeEmit(emitDur)
-		sp := w.tr.Add(trace.KindEmit, t0, emitDur)
+		end := time.Now()
+		sp := r.observe(trace.KindEmit, w.tr, t0, end.Sub(t0))
 		if attempts > 0 {
 			sp.Attr(trace.AttrRetries, attempts-1)
 		}
 		if err != nil {
-			r.tracer.Commit(w.tr)
+			r.tracer.Commit(w.tr, end)
 			r.fail(err)
 			continue
 		}
@@ -793,26 +790,25 @@ func (r *runState) emitLoop(outs <-chan Window, emit func(Window) error) {
 			// emit and save merely re-emits from the previous generation,
 			// and the republication cache re-serves identical values.
 			full := w.ckpt != nil
-			c0 := time.Now()
+			c0 := end
 			var saveErr error
 			if full {
 				saveErr = r.ckpts.Save(w.ckpt)
 			} else {
 				saveErr = r.ckpts.AppendDelta(w.delta)
 			}
-			saveDur := time.Since(c0)
-			w.tr.Add(trace.KindCheckpointSave, c0, saveDur)
+			end = time.Now()
+			r.observe(trace.KindCheckpointSave, w.tr, c0, end.Sub(c0))
 			if saveErr != nil {
-				r.tracer.Commit(w.tr)
+				r.tracer.Commit(w.tr, end)
 				r.fail(fmt.Errorf("pipeline: checkpointing window at position %d: %w", w.Position, saveErr))
 				continue
 			}
 			r.addCheckpoint()
-			r.metrics.addCheckpoint(saveDur)
 			r.metrics.addCheckpointSave(full, r.ckpts.LastSaveBytes(), r.ckpts.ChainFrames())
 		}
 		// The window is fully delivered (and checkpointed when due): commit
 		// its trace to the ring so snapshots and exemplars see it.
-		r.tracer.Commit(w.tr)
+		r.tracer.Commit(w.tr, end)
 	}
 }

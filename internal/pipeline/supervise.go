@@ -204,7 +204,12 @@ func (r *runState) addRecord() {
 
 func (r *runState) addPublished() { r.mu.Lock(); r.report.Published++; r.mu.Unlock() }
 
-func (r *runState) addCheckpoint() { r.mu.Lock(); r.report.Checkpoints++; r.mu.Unlock() }
+func (r *runState) addCheckpoint() {
+	r.mu.Lock()
+	r.report.Checkpoints++
+	r.mu.Unlock()
+	r.metrics.addCheckpoint()
+}
 
 // addRetry counts one retry attempt; op is "source" or "emit" and selects
 // the labeled telemetry series (the Report pools both).
@@ -259,30 +264,25 @@ const (
 	maxBackoff     = time.Second
 )
 
-// withRetries runs op (already panic-safe via safeCall) and retries
-// transient failures — including recovered panics — with exponential
-// backoff, up to cfg.EmitRetries retry attempts. Backoff sleeps abort
-// early when the run is canceled. Non-transient errors and budget
-// exhaustion return the last error. When tw is non-nil, every failed
-// attempt is recorded as a retry span on the window's trace (nested under
-// the emit span by time containment), numbered by its attempt.
-func (r *runState) withRetries(what string, tw *trace.Window, op func() error) error {
+// withRetries runs f (panic-safe via safeCall) and retries transient
+// failures — including recovered panics — with exponential backoff, up to
+// cfg.EmitRetries retry attempts, counting each retry against op ("source"
+// or "emit"). Backoff sleeps abort early when the run is canceled.
+// Non-transient errors and budget exhaustion return the last error, prefixed
+// with what. Every failed attempt is recorded as a retry span on tw (nested
+// under the emit span by time containment), numbered by its attempt; start is
+// the caller's reading of when the first attempt began.
+func (r *runState) withRetries(op, what string, tw *trace.Window, start time.Time, f func() error) error {
 	backoff := r.cfg.EmitBackoff
 	if backoff <= 0 {
 		backoff = defaultBackoff
 	}
 	for attempt := 0; ; attempt++ {
-		var a0 time.Time
-		if tw != nil {
-			a0 = time.Now()
-		}
-		err := safeCall(op)
+		err := safeCall(f)
 		if err == nil {
 			return nil
 		}
-		if tw != nil {
-			tw.Add(trace.KindRetry, a0, time.Since(a0)).Attr(trace.AttrAttempt, int64(attempt+1))
-		}
+		tw.Add(trace.KindRetry, start, time.Since(start)).Attr(trace.AttrAttempt, int64(attempt+1))
 		var pe *panicError
 		if errors.As(err, &pe) {
 			r.addPanic()
@@ -293,7 +293,7 @@ func (r *runState) withRetries(what string, tw *trace.Window, op func() error) e
 		if attempt >= r.cfg.EmitRetries {
 			return fmt.Errorf("pipeline: %s failed after %d retries: %w", what, attempt, err)
 		}
-		r.addRetry("emit")
+		r.addRetry(op)
 		select {
 		case <-time.After(backoff):
 		case <-r.ctx.Done():
@@ -302,6 +302,7 @@ func (r *runState) withRetries(what string, tw *trace.Window, op func() error) e
 		if backoff *= 2; backoff > maxBackoff {
 			backoff = maxBackoff
 		}
+		start = time.Now()
 	}
 }
 

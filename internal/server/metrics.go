@@ -28,6 +28,7 @@ const (
 	MetricStreamWindows    = "butterfly_server_stream_windows_total"
 	MetricDrainSeconds     = "butterfly_server_drain_seconds"
 	MetricIngestSeconds    = "butterfly_server_ingest_seconds"
+	MetricWALAppendSeconds = "butterfly_server_wal_append_seconds"
 	MetricQueueAge         = "butterfly_server_queue_age_seconds"
 	MetricQueueDepth       = "butterfly_server_queue_depth"
 	MetricE2ESeconds       = "butterfly_server_e2e_seconds"
@@ -105,6 +106,7 @@ type serverMetrics struct {
 	restarts   *telemetry.Counter
 	drainDur   *telemetry.Gauge
 	ingestDur  *telemetry.Histogram
+	walAppend  *telemetry.Histogram
 	queueAge   *telemetry.Histogram
 	e2eDur     *telemetry.Histogram
 	e2eSlowest *telemetry.Gauge
@@ -146,6 +148,9 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 			"Wall time of the last graceful drain across all streams.", nil),
 		ingestDur: reg.Histogram(MetricIngestSeconds,
 			"Wall time of one accepted ingest request (parse + WAL append + group fsync + enqueue).",
+			nil, nil),
+		walAppend: reg.Histogram(MetricWALAppendSeconds,
+			"Time encoding and buffering one accepted ingest request's records into the WAL (pre-sync), per request.",
 			nil, nil),
 		queueAge: reg.Histogram(MetricQueueAge,
 			"Age of a record at dequeue: time spent waiting in the ingest queue before the pipeline consumed it.",
@@ -238,6 +243,12 @@ func (m *serverMetrics) observeDrain(took time.Duration) {
 func (m *serverMetrics) observeIngest(took time.Duration) {
 	if m != nil {
 		m.ingestDur.Observe(took.Seconds())
+	}
+}
+
+func (m *serverMetrics) observeWALAppend(took time.Duration) {
+	if m != nil {
+		m.walAppend.Observe(took.Seconds())
 	}
 }
 

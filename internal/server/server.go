@@ -98,8 +98,6 @@ type Options struct {
 	// checkpoint generation is a full snapshot, the generations between are
 	// delta frames. Default 1 — every generation full, the v1 behavior.
 	CheckpointFullEvery int
-	// Shards is the registry shard count (default 16).
-	Shards int
 	// DrainTimeout is the default graceful-drain deadline used by callers
 	// that pass Shutdown a background context (default 30s).
 	DrainTimeout time.Duration
@@ -151,9 +149,6 @@ func (o *Options) setDefaults() {
 	if o.CheckpointFullEvery <= 0 {
 		o.CheckpointFullEvery = 1
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 30 * time.Second
 	}
@@ -197,6 +192,9 @@ type Server struct {
 	wg     sync.WaitGroup // live supervisor goroutines
 }
 
+// numShards is the stream registry's shard count.
+const numShards = 16
+
 type shard struct {
 	mu sync.RWMutex
 	m  map[string]*stream
@@ -218,7 +216,7 @@ func New(opts Options) *Server {
 		// /metrics complete before the first stream runs.
 		pipeline.RegisterMetrics(opts.Registry)
 	}
-	s.shards = make([]*shard, opts.Shards)
+	s.shards = make([]*shard, numShards)
 	for i := range s.shards {
 		s.shards[i] = &shard{m: map[string]*stream{}}
 	}

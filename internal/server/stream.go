@@ -62,9 +62,9 @@ type queueItem struct {
 	// the server-wide inflight-bytes admission cap.
 	size int64
 	// enq is the wall-clock acceptance stamp (unix nanos), set when the
-	// item's request group became durable and visible; zero on replay items
-	// and when metrics are off. Feeds the queue-age and end-to-end latency
-	// histograms only — never the pipeline.
+	// item's request group became durable and visible; zero on replay
+	// items. Feeds the queue-age and end-to-end latency histograms only —
+	// never the pipeline.
 	enq int64
 }
 
@@ -342,11 +342,11 @@ func (st *stream) acceptedLines() uint64 {
 // stream never saw — and is refused with errOffsetGap.
 //
 // With a WAL, acceptance is durable acceptance: records stage in memory,
-// the request's whole group is fsynced (token journal first — WAL frames
-// reference its ids — then the frames), and only then do the records
-// become visible to the pipeline and countable in the response. A group
-// whose sync fails is unwound as if it never arrived, and the client
-// re-sends it.
+// the request's whole group is appended to the WAL and fsynced (token
+// journal first — WAL frames reference its ids — then the frames), and
+// only then do the records become visible to the pipeline and countable in
+// the response. A group whose append or sync fails is unwound as if it
+// never arrived, and the client re-sends it.
 func (st *stream) ingest(body io.Reader, offset int64) (accepted int, bad int, err error) {
 	st.ingestMu.Lock()
 	defer st.ingestMu.Unlock()
@@ -377,38 +377,17 @@ func (st *stream) ingest(body io.Reader, offset int64) (accepted int, bad int, e
 		stagedBytes int64
 		badStaged   uint64
 	)
-	// Request-scoped observability (strictly observation-only): a root span
-	// per ingest request with aggregated parse / wal.append children, plus
-	// the request-latency histogram. rw is nil when tracing is off and every
-	// timing read is gated, so the disabled path costs one pointer test.
-	rw := st.tracer.StartRoot(trace.KindIngest)
-	var (
-		reqStart   time.Time
-		parseStart time.Time
-		parseDur   time.Duration
-		walStart   time.Time
-		walDur     time.Duration
-	)
-	if rw != nil || st.srv.metrics != nil {
-		reqStart = time.Now()
-	}
+	// The request runs in four phases — parse, WAL append, fsync, enqueue —
+	// timed by five clock readings, never per record. The readings feed the
+	// request's trace (an ingest root with one child per phase), the ingest
+	// and WAL-append histograms, and the enqueue stamp behind queue age and
+	// end-to-end latency; all of it is observation-only.
+	t0 := time.Now()
+	// Phase 1: parse and admit every line into staged.
 	tr := data.NewTransactionReader(&lineGuard{r: body}, st.vocab)
 parse:
 	for {
-		var (
-			rec  itemset.Itemset
-			rerr error
-		)
-		if rw != nil {
-			t0 := time.Now()
-			if parseStart.IsZero() {
-				parseStart = t0
-			}
-			rec, rerr = tr.Next()
-			parseDur += time.Since(t0)
-		} else {
-			rec, rerr = tr.Next()
-		}
+		rec, rerr := tr.Next()
 		var item queueItem
 		switch {
 		case rerr == io.EOF:
@@ -445,28 +424,11 @@ parse:
 			break parse
 		}
 		// Reserve queue capacity up front: this goroutine is the only
-		// sender, so len can only shrink and the post-sync flush below can
+		// sender, so len can only shrink and the enqueue phase below can
 		// never block.
 		if len(st.queue)+len(staged) >= cap(st.queue) {
 			err = errBackpressure
 			break parse
-		}
-		if st.wal != nil {
-			var t0 time.Time
-			if rw != nil {
-				t0 = time.Now()
-				if walStart.IsZero() {
-					walStart = t0
-				}
-			}
-			werr := st.wal.Append(wal.Record{Line: item.line, Seq: item.seq, Rec: item.rec, Bad: item.bad})
-			if rw != nil {
-				walDur += time.Since(t0)
-			}
-			if werr != nil {
-				err = fmt.Errorf("%w: %v", errDurability, werr)
-				break parse
-			}
 		}
 		staged = append(staged, item)
 		stagedBytes += item.size
@@ -480,12 +442,22 @@ parse:
 	if len(staged) == 0 {
 		return 0, 0, err
 	}
-	// Durability barrier: nothing below is acknowledged or handed to the
-	// pipeline before the group's fsyncs return.
-	syncStart := reqStart
-	if rw != nil {
-		syncStart = time.Now()
+	t1 := time.Now()
+	// Phase 2: append the staged group to the WAL. Append fails only on a
+	// log a failed Sync or closeDurable already shut, and either makes this
+	// group's Sync fail too, so an append error unwinds the group exactly
+	// like the sync failure below.
+	if st.wal != nil {
+		for _, it := range staged {
+			if werr := st.wal.Append(wal.Record{Line: it.line, Seq: it.seq, Rec: it.rec, Bad: it.bad}); werr != nil {
+				st.lines, st.seq = lines0, seq0
+				return 0, 0, fmt.Errorf("%w: %v", errDurability, werr)
+			}
+		}
 	}
+	t2 := time.Now()
+	// Phase 3, the durability barrier: nothing below is acknowledged or
+	// handed to the pipeline before the group's fsyncs return.
 	if serr := st.syncDurable(); serr != nil {
 		// Unwind the acceptance: the staged lines never reached the disk or
 		// the pipeline, so the counters must not claim them — the client
@@ -493,20 +465,11 @@ parse:
 		st.lines, st.seq = lines0, seq0
 		return 0, 0, fmt.Errorf("%w: %v", errDurability, serr)
 	}
-	if rw != nil && st.wal != nil {
-		rw.Add(trace.KindWALFsync, syncStart, time.Since(syncStart))
-	}
-	// Visibility: charge the admission accounting and hand the group to
-	// the pipeline. Capacity was reserved during staging, so these sends
-	// cannot block.
-	var (
-		enqAt    int64
-		enqStart time.Time
-	)
-	if st.srv.metrics != nil || rw != nil {
-		enqStart = time.Now()
-		enqAt = enqStart.UnixNano()
-	}
+	t3 := time.Now()
+	// Phase 4, visibility: charge the admission accounting and hand the
+	// group to the pipeline. Capacity was reserved during staging, so these
+	// sends cannot block.
+	enqAt := t3.UnixNano()
 	for _, it := range staged {
 		it.enq = enqAt
 		st.srv.addInflight(it.size)
@@ -523,24 +486,22 @@ parse:
 		st.badSeen += badStaged
 		st.mu.Unlock()
 	}
-	if rw != nil {
-		rw.Add(trace.KindEnqueue, enqStart, time.Since(enqStart))
-		rw.SetID(st.lines)
-		if parseDur > 0 {
-			rw.Add(trace.KindParse, parseStart, parseDur)
-		}
-		if walDur > 0 {
-			rw.Add(trace.KindWALAppend, walStart, walDur)
-		}
-		rw.Attr(trace.AttrLines, int64(accepted))
-		rw.Attr(trace.AttrRecords, int64(accepted-bad))
-		rw.Attr(trace.AttrBadRecords, int64(bad))
-		rw.Attr(trace.AttrQueueLen, int64(len(st.queue)))
-		st.tracer.Commit(rw)
+	t4 := time.Now()
+	rw := st.tracer.StartRoot(trace.KindIngest, t0)
+	rw.SetID(st.lines)
+	rw.Add(trace.KindParse, t0, t1.Sub(t0))
+	if st.wal != nil {
+		rw.Add(trace.KindWALAppend, t1, t2.Sub(t1))
+		rw.Add(trace.KindWALFsync, t2, t3.Sub(t2))
+		st.srv.metrics.observeWALAppend(t2.Sub(t1))
 	}
-	if st.srv.metrics != nil {
-		st.srv.metrics.observeIngest(time.Since(reqStart))
-	}
+	rw.Add(trace.KindEnqueue, t3, t4.Sub(t3))
+	rw.Attr(trace.AttrLines, int64(accepted))
+	rw.Attr(trace.AttrRecords, int64(accepted-bad))
+	rw.Attr(trace.AttrBadRecords, int64(bad))
+	rw.Attr(trace.AttrQueueLen, int64(len(st.queue)))
+	st.tracer.Commit(rw, t4)
+	st.srv.metrics.observeIngest(t4.Sub(t0))
 	return accepted, bad, err
 }
 

@@ -9,6 +9,7 @@ package server
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,4 +105,80 @@ func TestServerTracingABIdentity(t *testing.T) {
 		t.Errorf("ingest (pid %d) and window (pid %d) roots are in different processes; "+
 			"one timeline must show both", ingestPid, windowPid)
 	}
+}
+
+// TestServerTracingIngestPhases pins the four-phase timing of a durable
+// ingest request: a traced request's root has exactly the parse, wal.append,
+// wal.fsync and enqueue.wait children, in that order, tiling the root without
+// overlap; and with a registry but no tracer, the request-latency and
+// WAL-append histograms each observe once per accepted request.
+func TestServerTracingIngestPhases(t *testing.T) {
+	const requests = 3
+	input := strings.Split(strings.TrimRight(genInput(t, 5, 90), "\n"), "\n")
+	feed := func(c *tClient, id string) {
+		t.Helper()
+		for r := 0; r < requests; r++ {
+			chunk := strings.Join(input[30*r:30*(r+1)], "\n") + "\n"
+			resp, body := c.do("POST", "/v1/streams/"+id+"/records", strings.NewReader(chunk))
+			if resp.StatusCode != 200 {
+				t.Fatalf("ingest request %d: %d %s", r, resp.StatusCode, body)
+			}
+		}
+	}
+
+	t.Run("spans", func(t *testing.T) {
+		srv, c := newTestServer(t, Options{DataDir: t.TempDir()})
+		cfg := testConfig("phases", 5)
+		cfg.TraceWindows = 64
+		c.create(cfg)
+		feed(c, cfg.ID)
+		var ingests int
+		for _, rec := range srv.get(cfg.ID).tracer.Snapshot() {
+			if rec.Kind != "ingest" {
+				continue
+			}
+			ingests++
+			var names []string
+			for _, sp := range rec.Spans {
+				names = append(names, sp.Name)
+			}
+			if got, want := strings.Join(names, ","), "parse,wal.append,wal.fsync,enqueue.wait"; got != want {
+				t.Fatalf("ingest %d children = %s, want %s", rec.Window, got, want)
+			}
+			at := rec.Start
+			for _, sp := range rec.Spans {
+				if sp.Start < at {
+					t.Errorf("ingest %d: %s starts %v before the previous phase ended", rec.Window, sp.Name, at-sp.Start)
+				}
+				at = sp.Start + sp.Dur
+			}
+			if end := rec.Start + rec.Dur; at > end {
+				t.Errorf("ingest %d: children end %v past the root", rec.Window, at-end)
+			}
+		}
+		if ingests != requests {
+			t.Errorf("flight recorder holds %d ingest roots, want %d", ingests, requests)
+		}
+	})
+
+	t.Run("histograms", func(t *testing.T) {
+		reg := telemetry.NewRegistry()
+		_, c := newTestServer(t, Options{DataDir: t.TempDir(), Registry: reg})
+		cfg := testConfig("phases", 5)
+		c.create(cfg)
+		feed(c, cfg.ID)
+		for _, name := range []string{MetricIngestSeconds, MetricWALAppendSeconds} {
+			var count uint64
+			for _, f := range reg.Snapshot() {
+				if f.Name == name {
+					for _, s := range f.Series {
+						count += s.Count
+					}
+				}
+			}
+			if count != requests {
+				t.Errorf("%s_count = %d, want one per accepted request (%d)", name, count, requests)
+			}
+		}
+	})
 }

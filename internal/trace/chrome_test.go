@@ -21,7 +21,7 @@ func goldenTracer() *Tracer {
 	tr, clock := newTestTracer(Options{Windows: 8, TopK: 2}, 0)
 	at := func(ms int64) time.Time { return tr.epoch.Add(time.Duration(ms) * time.Millisecond) }
 
-	w := tr.StartWindow()
+	w := tr.StartRoot(KindWindow, clock.now())
 	w.SetID(7)
 	w.Attr(AttrWindow, 7)
 	w.Attr(AttrRecords, 300)
@@ -35,16 +35,16 @@ func goldenTracer() *Tracer {
 	w.Add(KindRetry, at(17), time.Millisecond).Attr(AttrAttempt, 1)
 	w.Add(KindCheckpointSave, at(21), 2*time.Millisecond)
 	clock.t = at(23)
-	tr.Commit(w)
+	tr.Commit(w, clock.now())
 
-	w = tr.StartWindow()
+	w = tr.StartRoot(KindWindow, clock.now())
 	w.SetID(8)
 	w.Attr(AttrWindow, 8)
 	for i := 0; i < MaxSpans+2; i++ {
 		w.Add(KindRetry, at(30+int64(i)), time.Millisecond)
 	}
 	clock.t = at(60)
-	tr.Commit(w)
+	tr.Commit(w, clock.now())
 	return tr
 }
 

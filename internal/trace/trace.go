@@ -407,11 +407,10 @@ const (
 
 // Tracer is the flight recorder. All methods are safe for concurrent use
 // and nil-receiver safe: a nil *Tracer is a disabled tracer whose
-// StartWindow returns nil, making instrumented code zero-cost when tracing
+// StartRoot returns nil, making instrumented code zero-cost when tracing
 // is off (one pointer test per call site).
 type Tracer struct {
 	epoch time.Time
-	now   func() time.Time // test seam; nil means time.Now
 
 	seq  atomic.Uint64 // commit sequence
 	ring []ringRec
@@ -458,26 +457,15 @@ func (t *Tracer) Capacity() int {
 	return len(t.ring)
 }
 
-func (t *Tracer) clock() time.Time {
-	if t.now != nil {
-		return t.now()
-	}
-	return time.Now()
-}
-
-// StartWindow begins recording one window's trace. The returned Window is
-// exclusively owned by the caller (hand it off with the window itself);
-// finish with Commit. A nil tracer returns a nil Window, whose methods all
-// no-op.
-func (t *Tracer) StartWindow() *Window {
-	return t.StartRoot(KindWindow)
-}
-
-// StartRoot begins recording a trace rooted at an arbitrary span kind — the
-// server uses KindIngest roots so one ring carries both window traces and
-// the ingest requests that fed them. Only KindWindow roots compete for the
-// slowest-window exemplar store and gauge; every root kind shares the ring.
-func (t *Tracer) StartRoot(kind Kind) *Window {
+// StartRoot begins recording one trace rooted at a span of the given kind —
+// KindWindow for a published window, KindIngest for the server's ingest
+// requests, so one ring carries both. Only KindWindow roots compete for the
+// slowest-window exemplar store and gauge. start is a clock reading the
+// caller already took at the same boundary, so the root span and the
+// caller's own timers share one reading. The returned Window is exclusively
+// owned by the caller (hand it off with the window itself); finish with
+// Commit. A nil tracer returns a nil Window, whose methods all no-op.
+func (t *Tracer) StartRoot(kind Kind, start time.Time) *Window {
 	if t == nil {
 		return nil
 	}
@@ -490,20 +478,21 @@ func (t *Tracer) StartRoot(kind Kind) *Window {
 	}
 	w.t = t
 	w.kind = kind
-	w.start = t.clock().Sub(t.epoch).Nanoseconds()
+	w.start = start.Sub(t.epoch).Nanoseconds()
 	return w
 }
 
-// Commit finalizes w's root span, publishes the record into the ring
-// (evicting the oldest window), offers it to the slowest-window exemplar
-// store, mirrors span durations into the telemetry registry (when
-// SetMetrics was called), and recycles the record. w must not be used after
-// Commit. Nil tracer or nil w no-op.
-func (t *Tracer) Commit(w *Window) {
+// Commit finalizes w's root span, which ends at end — the clock reading that
+// closed its last span — publishes the record into the ring (evicting the
+// oldest window), offers it to the slowest-window exemplar store, mirrors
+// span durations into the telemetry registry (when SetMetrics was called),
+// and recycles the record. w must not be used after Commit. Nil tracer or
+// nil w no-op.
+func (t *Tracer) Commit(w *Window, end time.Time) {
 	if t == nil || w == nil {
 		return
 	}
-	w.dur = t.clock().Sub(t.epoch).Nanoseconds() - w.start
+	w.dur = end.Sub(t.epoch).Nanoseconds() - w.start
 	if w.dur <= 0 {
 		w.dur = 1 // keep committed records distinguishable from empty slots
 	}

@@ -24,31 +24,29 @@ func (c *fakeClock) now() time.Time {
 	return c.t
 }
 
-// newTestTracer returns a tracer on a deterministic clock starting at the
-// epoch and advancing step per reading.
+// newTestTracer returns a tracer and a deterministic clock starting at the
+// tracer's epoch and advancing step per reading.
 func newTestTracer(opts Options, step time.Duration) (*Tracer, *fakeClock) {
 	t := New(opts)
-	c := &fakeClock{t: t.epoch, step: step}
-	t.now = c.now
-	return t, c
+	return t, &fakeClock{t: t.epoch, step: step}
 }
 
-// commitWindow records one synthetic window with a mine and an emit span;
-// every span carries the window id as an attribute so torn reads are
-// detectable.
-func commitWindow(tr *Tracer, id uint64) {
-	w := tr.StartWindow()
+// commitWindow records one synthetic window with a mine and an emit span,
+// reading now for the root's start and end and each span's start; every
+// span carries the window id as an attribute so torn reads are detectable.
+func commitWindow(tr *Tracer, now func() time.Time, id uint64) {
+	w := tr.StartRoot(KindWindow, now())
 	w.SetID(id)
 	w.Attr(AttrWindow, int64(id))
-	w.Add(KindMine, tr.clock(), time.Millisecond).Attr(AttrWindow, int64(id))
-	w.Add(KindEmit, tr.clock(), time.Millisecond).Attr(AttrWindow, int64(id))
-	tr.Commit(w)
+	w.Add(KindMine, now(), time.Millisecond).Attr(AttrWindow, int64(id))
+	w.Add(KindEmit, now(), time.Millisecond).Attr(AttrWindow, int64(id))
+	tr.Commit(w, now())
 }
 
 func TestTracerBasicSnapshot(t *testing.T) {
-	tr, _ := newTestTracer(Options{Windows: 8}, time.Millisecond)
+	tr, clock := newTestTracer(Options{Windows: 8}, time.Millisecond)
 	for id := uint64(1); id <= 3; id++ {
-		commitWindow(tr, id)
+		commitWindow(tr, clock.now, id)
 	}
 	recs := tr.Snapshot()
 	if len(recs) != 3 {
@@ -78,9 +76,9 @@ func TestTracerBasicSnapshot(t *testing.T) {
 // TestTracerRingWraparound floods a small ring and checks only the newest
 // Capacity windows remain (exemplars aside, which keep their own copies).
 func TestTracerRingWraparound(t *testing.T) {
-	tr, _ := newTestTracer(Options{Windows: 4, TopK: -1}, time.Microsecond)
+	tr, clock := newTestTracer(Options{Windows: 4, TopK: -1}, time.Microsecond)
 	for id := uint64(1); id <= 10; id++ {
-		commitWindow(tr, id)
+		commitWindow(tr, clock.now, id)
 	}
 	recs := tr.Snapshot()
 	if len(recs) != 4 {
@@ -133,7 +131,7 @@ func TestTracerConcurrentCommitEvictionRace(t *testing.T) {
 		go func(g int) {
 			defer writerWG.Done()
 			for i := 0; i < perWriter; i++ {
-				commitWindow(tr, uint64(g*perWriter+i+1))
+				commitWindow(tr, time.Now, uint64(g*perWriter+i+1))
 			}
 		}(g)
 	}
@@ -152,10 +150,10 @@ func TestTracerExemplarsSurviveEviction(t *testing.T) {
 	tr, clock := newTestTracer(Options{Windows: 4, TopK: 2}, time.Microsecond)
 
 	clock.step = 50 * time.Millisecond // slow window: wide clock steps
-	commitWindow(tr, 999)
+	commitWindow(tr, clock.now, 999)
 	clock.step = time.Microsecond
 	for id := uint64(1); id <= 20; id++ {
-		commitWindow(tr, id)
+		commitWindow(tr, clock.now, id)
 	}
 
 	ex := tr.Exemplars()
@@ -183,14 +181,14 @@ func TestTracerZeroAllocHotPath(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr.SetMetrics(reg)
 	record := func() {
-		w := tr.StartWindow()
+		w := tr.StartRoot(KindWindow, time.Now())
 		w.SetID(42)
 		w.Attr(AttrRecords, 1000)
 		sp := w.Add(KindMine, time.Now(), time.Millisecond)
 		sp.Attr(AttrWindow, 42)
 		w.Add(KindPerturb, time.Now(), time.Millisecond)
 		w.Add(KindEmit, time.Now(), time.Millisecond).Attr(AttrRetries, 0)
-		tr.Commit(w)
+		tr.Commit(w, time.Now())
 	}
 	for i := 0; i < 64; i++ {
 		record() // warm the free list and the exemplar store
@@ -206,7 +204,7 @@ func TestTracerGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	tr := New(Options{Windows: 8})
 	for id := uint64(1); id <= 100; id++ {
-		commitWindow(tr, id)
+		commitWindow(tr, time.Now, id)
 	}
 	tr.Snapshot()
 	tr.Exemplars()
@@ -220,14 +218,14 @@ func TestTracerGoroutineLeak(t *testing.T) {
 // on every method.
 func TestTracerNilSafety(t *testing.T) {
 	var tr *Tracer
-	w := tr.StartWindow()
+	w := tr.StartRoot(KindWindow, time.Now())
 	if w != nil {
 		t.Fatal("nil tracer returned a non-nil window")
 	}
 	w.SetID(1)
 	w.Attr(AttrWindow, 1)
 	w.Add(KindMine, time.Now(), time.Second).Attr(AttrWindow, 1)
-	tr.Commit(w)
+	tr.Commit(w, time.Now())
 	tr.SetMetrics(telemetry.NewRegistry())
 	if tr.Snapshot() != nil || tr.Exemplars() != nil {
 		t.Error("nil tracer snapshot not nil")
@@ -238,11 +236,11 @@ func TestTracerNilSafety(t *testing.T) {
 
 	// A live tracer must also tolerate span overflow by counting drops.
 	live := New(Options{Windows: 2})
-	lw := live.StartWindow()
+	lw := live.StartRoot(KindWindow, time.Now())
 	for i := 0; i < MaxSpans+5; i++ {
 		lw.Add(KindRetry, time.Now(), time.Millisecond)
 	}
-	live.Commit(lw)
+	live.Commit(lw, time.Now())
 	recs := live.Snapshot()
 	if len(recs) != 1 || recs[0].Dropped != 5 {
 		t.Fatalf("overflowed window recorded %+v, want Dropped=5", recs)
@@ -255,9 +253,9 @@ func TestTracerMetricsMirror(t *testing.T) {
 	tr, clock := newTestTracer(Options{Windows: 8}, time.Millisecond)
 	reg := telemetry.NewRegistry()
 	tr.SetMetrics(reg)
-	commitWindow(tr, 1)
+	commitWindow(tr, clock.now, 1)
 	clock.step = 100 * time.Millisecond
-	commitWindow(tr, 2)
+	commitWindow(tr, clock.now, 2)
 
 	var slowest float64
 	hist := map[string]uint64{}

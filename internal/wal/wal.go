@@ -191,7 +191,6 @@ type Log struct {
 }
 
 type metricsSet struct {
-	appendDur  *telemetry.Histogram
 	fsyncDur   *telemetry.Histogram
 	segments   *telemetry.Gauge
 	recoveries func(outcome string) *telemetry.Counter
@@ -200,7 +199,6 @@ type metricsSet struct {
 
 // WAL metric names (see OBSERVABILITY.md).
 const (
-	MetricAppendSeconds   = "butterfly_server_wal_append_seconds"
 	MetricFsyncSeconds    = "butterfly_server_wal_fsync_seconds"
 	MetricSegments        = "butterfly_server_wal_segments"
 	MetricRecoveries      = "butterfly_server_wal_recoveries_total"
@@ -220,9 +218,6 @@ func newMetricsSet(reg *telemetry.Registry, stream string) *metricsSet {
 		return nil
 	}
 	return &metricsSet{
-		appendDur: reg.Histogram(MetricAppendSeconds,
-			"Time encoding and buffering one accepted record into the ingest WAL.",
-			telemetry.DefBuckets, nil),
 		fsyncDur: reg.Histogram(MetricFsyncSeconds,
 			"Time of one WAL group sync (write + fsync of a request's frames).",
 			telemetry.DefBuckets, nil),
@@ -622,7 +617,6 @@ func decodePayload(payload []byte) (Record, error) {
 // durable at the next Sync, and the caller must not acknowledge the line
 // before that Sync returns. Lines must be appended in order.
 func (l *Log) Append(r Record) error {
-	t0 := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {
@@ -647,9 +641,6 @@ func (l *Log) Append(r Record) error {
 	l.last = r.Line
 	if r.Bad == nil {
 		l.lastSeq = r.Seq
-	}
-	if l.m != nil {
-		l.m.appendDur.ObserveSince(t0)
 	}
 	return nil
 }
